@@ -44,6 +44,7 @@ from .eigenid import (
     Tolerances,
     check_design,
     cross_moment_matrices,
+    effect_from_joint,
     identify_causal_effect,
     identify_joint,
     order_free_bounds,

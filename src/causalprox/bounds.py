@@ -19,7 +19,7 @@ joint reading while the program constraints require the conditional one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -478,14 +478,8 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
             status = "infeasible"
     x0, x1 = closed_form_bounds(cells, convention="conditional")
     if not monotone:
-        x0 = BoundsResult(
-            target="x0", lower=x0.lower, upper=x0.upper, method="closed-form",
-            terms=x0.terms, convention=x0.convention, applicable=False,
-        )
-        x1 = BoundsResult(
-            target="x1", lower=x1.lower, upper=x1.upper, method="closed-form",
-            terms=x1.terms, convention=x1.convention, applicable=False,
-        )
+        x0 = replace(x0, applicable=False)
+        x1 = replace(x1, applicable=False)
     closed = {"x0": x0, "x1": x1}
     deltas = {}
     for target in TARGETS:

@@ -30,7 +30,7 @@ from .eigenid import (
     DEFAULT_TOLERANCES,
     ProxyDesign,
     check_design,
-    identify_causal_effect,
+    effect_from_joint,
     identify_joint,
 )
 from .graph import (
@@ -41,7 +41,7 @@ from .graph import (
     satisfies_backdoor,
     satisfies_frontdoor,
 )
-from .ratio import decimal_string, number_json, rational_json
+from .ratio import decimal_string, rational_json
 from .synth import generate_latent_model, random_latent_spec, spec_margins
 from .table import JointTable, load_counts
 
@@ -134,11 +134,6 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise err.FormatError(f"{path}: invalid JSON: {exc}") from exc
-
-
-def _table_json_float(table: JointTable) -> dict:
-    payload = table.to_float().to_json()
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +267,8 @@ def cmd_identify(args) -> int:
         for category in table.categories(exposure) if exposure in table.variables \
                 else recon.table.categories(exposure):
             try:
-                result = identify_causal_effect(
-                    table, graph, design, {exposure: category}, outcome
+                result = effect_from_joint(
+                    recon, graph, {exposure: category}, outcome
                 )
             except err.NoCriterionError as exc:
                 diagnostics.append(
@@ -292,7 +287,7 @@ def cmd_identify(args) -> int:
 
     outputs = {
         "strata": [_factors_json(f) for f in recon.factors],
-        "joint": _table_json_float(recon.table),
+        "joint": recon.table.to_float().to_json(),
         "replay_residuals": recon.replay,
         "effects": effects or None,
         "exposure": exposure,

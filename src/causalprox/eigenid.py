@@ -18,7 +18,7 @@ invariant to relabeling are available (order_free_bounds).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -46,7 +46,12 @@ MAX_LATENT_CATEGORIES = 16
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds for the identification pipeline."""
+    """Numerical thresholds for the identification pipeline.
+
+    singular is relative: a cross-moment matrix counts as singular when its
+    smallest singular value is at most singular times its largest, so the
+    test does not depend on the matrix size k or on the table's scale.
+    """
 
     singular: float = 1e-10
     gap: float = 1e-6
@@ -219,15 +224,17 @@ def check_design(table: JointTable, design: ProxyDesign) -> None:
 class StratumMatrices:
     """Square cross-moment matrices for one stratum.
 
-    p[i][j] holds the conditional mass of (s event i AND t event j) given
-    the stratum, with index 0 meaning "no constraint"; q additionally
-    intersects the anchor event.  Entries keep the table's arithmetic mode.
+    by_anchor maps every anchor value w to the matrix whose [i][j] entry
+    holds the conditional mass of (s event i AND t event j AND w) given the
+    stratum, with index 0 meaning "no constraint".  p is their exact sum
+    (the anchor summed out) and q the matrix at the design's anchor value.
+    Entries keep the table's arithmetic mode.
     """
 
     stratum: tuple
-    w_value: tuple
     p: np.ndarray
     q: np.ndarray
+    by_anchor: dict
 
     @property
     def k(self):
@@ -246,46 +253,39 @@ def cross_moment_matrices(
     table: JointTable,
     design: ProxyDesign,
     stratum: Optional[dict] = None,
-    w_value: Optional[tuple] = None,
 ) -> StratumMatrices:
-    """Build the pencil matrices for one stratum.
+    """Build the pencil matrices for one stratum, one per anchor value.
 
     Rows follow the s events, columns the t events, both prefixed by the
-    unconstrained event; q uses w_value (the design's anchor value unless
-    overridden).  Raises ZeroMassError when the stratum itself has no mass.
+    unconstrained event.  Raises ZeroMassError when the stratum itself has
+    no mass.
     """
     stratum = dict(stratum or {})
-    if w_value is None:
-        w_value = design.w_value
     zmass = table.mass(stratum)
     if zmass == 0:
         raise ZeroMassError(f"stratum {stratum!r} has zero mass")
-    w_assign = dict(zip(design.w_vars, w_value))
-
-    def cond(assign):
-        merged = dict(stratum)
-        merged.update(assign)
-        return table.mass(merged) / zmass
+    # an anchor value outside the table raises the table's own error here
+    table.mass(dict(zip(design.w_vars, design.w_value)))
 
     k = design.k
     s_events = [{}] + [dict(zip(design.s_vars, vec)) for vec in design.s_select]
     t_events = [{}] + [dict(zip(design.t_vars, vec)) for vec in design.t_select]
     dtype = object if table.mode == "rational" else float
-    p = np.empty((k, k), dtype=dtype)
-    q = np.empty((k, k), dtype=dtype)
-    for i, s_ev in enumerate(s_events):
-        for j, t_ev in enumerate(t_events):
-            joint = dict(s_ev)
-            joint.update(t_ev)
-            p[i, j] = cond(joint)
-            joint_w = dict(joint)
-            joint_w.update(w_assign)
-            q[i, j] = cond(joint_w)
+    w_axes = [table.categories(v) for v in design.w_vars]
+    by_anchor = {}
+    for w_value in itertools.product(*w_axes):
+        base = dict(stratum)
+        base.update(zip(design.w_vars, w_value))
+        matrix = np.empty((k, k), dtype=dtype)
+        for i, s_ev in enumerate(s_events):
+            for j, t_ev in enumerate(t_events):
+                matrix[i, j] = table.mass({**base, **s_ev, **t_ev}) / zmass
+        by_anchor[w_value] = matrix
     return StratumMatrices(
         stratum=tuple(sorted(stratum.items())),
-        w_value=tuple(w_value),
-        p=p,
-        q=q,
+        p=sum(by_anchor.values()),
+        q=by_anchor[tuple(design.w_value)],
+        by_anchor=by_anchor,
     )
 
 
@@ -310,13 +310,12 @@ def _as_float(matrix: np.ndarray) -> np.ndarray:
 
 
 def _check_invertible(matrix: np.ndarray, name: str, tol: Tolerances) -> None:
-    k = matrix.shape[0]
-    scale = max(1.0, float(np.abs(matrix).max()))
-    det = float(np.linalg.det(matrix))
-    if abs(det) <= tol.singular * scale**k:
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    ratio = float(sigma[-1] / sigma[0]) if sigma[0] > 0 else 0.0
+    if ratio <= tol.singular:
         raise SingularMatrixError(
             f"cross-moment matrix {name} is numerically singular "
-            f"(|det| = {abs(det):.3e})"
+            f"(sigma_min/sigma_max = {ratio:.3e} <= {tol.singular:.3e})"
         )
 
 
@@ -521,23 +520,21 @@ class ReconstructedJoint:
     replay: dict
 
 
-def _anchor_profile(table, design, stratum, factors, tol):
+def _anchor_profile(sm: StratumMatrices, factors: LatentFactors, tol: Tolerances):
     """Recover f(w'|u, z) for every anchor value, given fixed factors.
 
     Returns (w_values, delta matrix indexed [anchor value][latent i],
     max off-diagonal residual, max replay residual over Q matrices).
     """
-    axes = [table.categories(v) for v in design.w_vars]
-    w_values = [tuple(combo) for combo in itertools.product(*axes)]
+    w_values = list(sm.by_anchor)
     s_inv_t = np.linalg.inv(factors.s_rows).T
     t_inv = np.linalg.inv(factors.t_rows)
     prior = np.array(factors.prior)
     deltas = np.empty((len(w_values), len(prior)))
     worst_off = 0.0
     worst_replay = 0.0
-    for a, w_value in enumerate(w_values):
-        sm = cross_moment_matrices(table, design, stratum, w_value=w_value)
-        q = _as_float(sm.q)
+    for a, (w_value, matrix) in enumerate(sm.by_anchor.items()):
+        q = _as_float(matrix)
         mixed = s_inv_t @ q @ t_inv
         diag = np.diag(mixed)
         scale = max(1.0, float(np.abs(prior).max()))
@@ -553,6 +550,13 @@ def _anchor_profile(table, design, stratum, factors, tol):
         replay = factors.s_rows.T @ np.diag(prior * deltas[a]) @ factors.t_rows
         worst_replay = max(worst_replay, float(np.abs(replay - q).max()))
     return w_values, deltas, worst_off, worst_replay
+
+
+def _recover_stratum(table, design, stratum, tol):
+    """Cross moments, pencil and factors for one stratum, in pencil order."""
+    sm = cross_moment_matrices(table, design, stratum)
+    system = solve_pencil(sm.p, sm.q, tol)
+    return sm, recover_factors(system, sm.p, tol, stratum=sm.stratum)
 
 
 def identify_joint(
@@ -589,12 +593,7 @@ def identify_joint(
         "anchor_total": 0.0,
     }
     for stratum in stratum_assignments(design, table):
-        zmass = float(table.mass(stratum))
-        if zmass == 0.0:
-            raise ZeroMassError(f"stratum {stratum!r} has zero mass")
-        sm = cross_moment_matrices(table, design, stratum)
-        system = solve_pencil(sm.p, sm.q, tol)
-        raw = recover_factors(system, sm.p, tol, stratum=sm.stratum)
+        sm, raw = _recover_stratum(table, design, stratum, tol)
 
         order = np.argsort(raw.prior, kind="stable")
         sorted_prior = [raw.prior[i] for i in order]
@@ -605,30 +604,27 @@ def identify_joint(
                 f"{dict(sm.stratum) or '{}'} (min gap {min(gaps):.3e}); the "
                 "increasing-prior labeling is ambiguous"
             )
-        factors = LatentFactors(
-            stratum=raw.stratum,
+        factors = replace(
+            raw,
             anchor=tuple(raw.anchor[i] for i in order),
             prior=tuple(sorted_prior),
             t_rows=raw.t_rows[order],
             s_rows=raw.s_rows[order],
             t_normalizer=tuple(raw.t_normalizer[i] for i in order),
             s_normalizer=tuple(raw.s_normalizer[i] for i in order),
-            diag_residual=raw.diag_residual,
-            eigen_residual=raw.eigen_residual,
         )
         factors_out.append(factors)
 
         p_replay = factors.s_rows.T @ np.diag(factors.prior) @ factors.t_rows
         p_gap = float(np.abs(p_replay - _as_float(sm.p)).max())
-        w_values, deltas, off, q_gap = _anchor_profile(
-            table, design, stratum, factors, tol
-        )
+        w_values, deltas, off, q_gap = _anchor_profile(sm, factors, tol)
         totals = deltas.sum(axis=0)
         total_gap = float(np.abs(totals - 1.0).max())
         replay["cross_moment"] = max(replay["cross_moment"], p_gap, q_gap)
         replay["anchor_diag"] = max(replay["anchor_diag"], off)
         replay["anchor_total"] = max(replay["anchor_total"], total_gap)
 
+        zmass = float(table.mass(stratum))
         z_index = tuple(
             z_axes[n].index(dict(sm.stratum)[v])
             for n, v in enumerate(design.z_vars)
@@ -667,21 +663,7 @@ class EffectResult:
     reconstruction: ReconstructedJoint
 
 
-def identify_causal_effect(
-    table: JointTable,
-    graph: CausalDiagram,
-    design: ProxyDesign,
-    x: dict,
-    y: str,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> EffectResult:
-    """Estimate f(y | set(x)) through the recovered latent joint.
-
-    Exactly one of the exposure and the outcome must be the latent
-    variable; the other, and any adjustment variables, must be recovered
-    alongside it (anchor or strata).  The adjustment set is searched over
-    those recovered variables, back-door first, then front-door.
-    """
+def _check_effect_query(design: ProxyDesign, x: dict, y: str) -> None:
     if len(x) != 1:
         raise PatternError("exposure must be a single variable assignment")
     (xvar, _), = x.items()
@@ -690,15 +672,29 @@ def identify_causal_effect(
         raise PatternError(
             "exactly one of exposure and outcome must be the latent variable"
         )
-    observed = set(design.w_vars) | set(design.z_vars)
     other = y if xvar == latent else xvar
-    if other not in observed:
+    if other not in set(design.w_vars) | set(design.z_vars):
         raise PatternError(
             f"{other!r} is not recovered by this design (not an anchor or "
             "stratum variable)"
         )
-    recon = identify_joint(table, design, tol)
-    candidates = sorted(observed - {xvar, y})
+
+
+def effect_from_joint(
+    recon: ReconstructedJoint,
+    graph: CausalDiagram,
+    x: dict,
+    y: str,
+) -> EffectResult:
+    """Read f(y | set(x)) off an already recovered latent joint.
+
+    The adjustment set is searched over the recovered variables (anchor
+    and strata), back-door first, then front-door.
+    """
+    design = recon.design
+    _check_effect_query(design, x, y)
+    (xvar, _), = x.items()
+    candidates = sorted((set(design.w_vars) | set(design.z_vars)) - {xvar, y})
     adjustment = find_adjustment_set(graph, xvar, y, candidates, "backdoor")
     criterion = "backdoor"
     if adjustment is None:
@@ -719,6 +715,25 @@ def identify_causal_effect(
         adjustment=tuple(adjustment),
         reconstruction=recon,
     )
+
+
+def identify_causal_effect(
+    table: JointTable,
+    graph: CausalDiagram,
+    design: ProxyDesign,
+    x: dict,
+    y: str,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+) -> EffectResult:
+    """Estimate f(y | set(x)) through the recovered latent joint.
+
+    Exactly one of the exposure and the outcome must be the latent
+    variable; the other, and any adjustment variables, must be recovered
+    alongside it (anchor or strata).  A malformed query raises
+    PatternError before any recovery runs.
+    """
+    _check_effect_query(design, x, y)
+    return effect_from_joint(identify_joint(table, design, tol), graph, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -777,15 +792,11 @@ def order_free_bounds(
             raise PositivityError(
                 f"anchor value {x!r} has zero mass in stratum {stratum!r}"
             )
-        sm = cross_moment_matrices(table, design, stratum)
-        system = solve_pencil(sm.p, sm.q, tol)
-        factors = recover_factors(system, sm.p, tol, stratum=sm.stratum)
+        sm, factors = _recover_stratum(table, design, stratum, tol)
         if x_value == tuple(design.w_value):
             deltas = np.array(factors.anchor)
         else:
-            w_values, profile, _, _ = _anchor_profile(
-                table, design, stratum, factors, tol
-            )
+            w_values, profile, _, _ = _anchor_profile(sm, factors, tol)
             deltas = profile[w_values.index(x_value)]
         posterior = deltas * np.array(factors.prior) / x_cond
         lower += zmass * float(posterior.min())

@@ -25,13 +25,6 @@ def rational_json(value):
     return {"exact": f"{frac.numerator}/{frac.denominator}", "approx": float(frac)}
 
 
-def number_json(value):
-    """Serialize either arithmetic mode: Fractions exactly, floats as-is."""
-    if isinstance(value, Fraction):
-        return rational_json(value)
-    return float(value)
-
-
 def decimal_string(value: Fraction) -> str:
     """Render a rational whose denominator divides a power of ten exactly.
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from causalprox import eigenid
 from causalprox.bounds import MONOTONE_INDICES, cells_from_types
 from causalprox.cli import main
 from causalprox.eigenid import ProxyDesign
@@ -27,6 +28,7 @@ from causalprox.fixtures import (
     confounder_chain_diagram,
     chain_diagram,
     education_design,
+    education_table,
     education_table_csv,
     uninformative_anchor_table,
 )
@@ -243,6 +245,32 @@ def test_identify_worked_example_golden(workdir, capsys):
     assert abs(effects["x0"]["distribution"]["y1"] - 0.3) < 1e-9
     prior = report["outputs"]["strata"][0]["prior"]
     assert abs(prior[0] - 0.45) < 1e-9 and abs(prior[1] - 0.55) < 1e-9
+
+
+def test_identify_recovers_each_stratum_once(workdir, monkeypatch):
+    calls = []
+    real_solve_pencil = eigenid.solve_pencil
+
+    def counting_solve_pencil(*args, **kwargs):
+        calls.append(1)
+        return real_solve_pencil(*args, **kwargs)
+
+    monkeypatch.setattr(eigenid, "solve_pencil", counting_solve_pencil)
+    assert main(["identify", "data.csv", "design.json", "model.json"]) == 0
+    table, design = education_table(), education_design()
+    assert len(calls) == len(eigenid.stratum_assignments(design, table))
+
+    graph = chain_diagram()
+    recon = eigenid.identify_joint(table, design)
+    for category in table.categories("X"):
+        shared = eigenid.effect_from_joint(recon, graph, {"X": category}, "Y")
+        alone = eigenid.identify_causal_effect(
+            table, graph, design, {"X": category}, "Y"
+        )
+        assert (shared.criterion, shared.adjustment) == (
+            alone.criterion, alone.adjustment
+        )
+        assert list(shared.distribution.probs) == list(alone.distribution.probs)
 
 
 def test_identify_pair_override_and_bad_pair(workdir):
@@ -498,9 +526,10 @@ def test_simulate_range_validation(tmp_path, monkeypatch):
                  "--out-prefix", "sim"]) == 4
 
 
-def test_simulate_identify_round_trip(tmp_path, monkeypatch):
+@pytest.mark.parametrize("k", [3, 8])
+def test_simulate_identify_round_trip(tmp_path, monkeypatch, k):
     monkeypatch.chdir(tmp_path)
-    code = main(["simulate", "--k", "3", "--seed", "5", "--out-prefix", "sim"])
+    code = main(["simulate", "--k", str(k), "--seed", "5", "--out-prefix", "sim"])
     assert code == 0
     sidecar = json.loads(Path("sim.truth.json").read_text())
     design = ProxyDesign.from_json(sidecar["design"])
