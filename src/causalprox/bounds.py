@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import FormatError, InfeasibleError, SpecError, ZeroMassError
-from .lp import LinearProgram, LPResult, make_program, solve
+from .lp import LinearProgram, make_program, phase1, phase2
 from .ratio import parse_rational
 from .table import JointTable
 
@@ -289,15 +289,16 @@ def lp_bounds(prog: CounterfactualProgram) -> BoundsResult:
     the response-type model (possible under monotonicity: the model forces
     inequalities such as nonincreasing cells that real data can violate).
     """
+    start = phase1(prog.lp("min"))
+    if start is None:
+        raise InfeasibleError(
+            "observed cells are inconsistent with the "
+            + ("monotone " if prog.monotone else "")
+            + "response-type model"
+        )
     results = {}
     for sense in ("min", "max"):
-        res = solve(prog.lp(sense))
-        if res.status == "infeasible":
-            raise InfeasibleError(
-                "observed cells are inconsistent with the "
-                + ("monotone " if prog.monotone else "")
-                + "response-type model"
-            )
+        res = phase2(start, prog.objective, sense)
         if res.status != "optimal":
             raise SpecError(
                 f"bounded program reported {res.status}; this cannot happen "

@@ -29,8 +29,8 @@ from . import errors as err
 from .eigenid import (
     DEFAULT_TOLERANCES,
     ProxyDesign,
+    _effects_from_joint,
     check_design,
-    effect_from_joint,
     identify_joint,
 )
 from .graph import (
@@ -264,18 +264,14 @@ def cmd_identify(args) -> int:
             }
         )
     else:
-        for category in table.categories(exposure) if exposure in table.variables \
-                else recon.table.categories(exposure):
-            try:
-                result = effect_from_joint(
-                    recon, graph, {exposure: category}, outcome
-                )
-            except err.NoCriterionError as exc:
-                diagnostics.append(
-                    {"code": "W_NO_CRITERION", "message": str(exc)}
-                )
-                effects = {}
-                break
+        categories = table.categories(exposure) if exposure in table.variables \
+            else recon.table.categories(exposure)
+        try:
+            results = _effects_from_joint(recon, graph, exposure, categories, outcome)
+        except err.NoCriterionError as exc:
+            diagnostics.append({"code": "W_NO_CRITERION", "message": str(exc)})
+            results = {}
+        for category, result in results.items():
             effects[category] = {
                 "criterion": result.criterion,
                 "adjustment": list(result.adjustment),

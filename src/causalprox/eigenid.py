@@ -691,9 +691,19 @@ def effect_from_joint(
     The adjustment set is searched over the recovered variables (anchor
     and strata), back-door first, then front-door.
     """
+    _check_effect_query(recon.design, x, y)
+    (xvar, value), = x.items()
+    return _effects_from_joint(recon, graph, xvar, (value,), y)[value]
+
+
+def _effects_from_joint(recon, graph, xvar, values, y) -> dict:
+    """value -> effect_from_joint(recon, graph, {xvar: value}, y).
+
+    The adjustment search depends only on the graph and the variable
+    names, so it runs once for all values.
+    """
     design = recon.design
-    _check_effect_query(design, x, y)
-    (xvar, _), = x.items()
+    _check_effect_query(design, {xvar: None}, y)
     candidates = sorted((set(design.w_vars) | set(design.z_vars)) - {xvar, y})
     adjustment = find_adjustment_set(graph, xvar, y, candidates, "backdoor")
     criterion = "backdoor"
@@ -705,16 +715,16 @@ def effect_from_joint(
             f"no subset of {candidates!r} satisfies the back-door or "
             f"front-door criterion for {xvar!r} -> {y!r}"
         )
-    if criterion == "backdoor":
-        dist = backdoor_adjust(recon.table, x, y, adjustment)
-    else:
-        dist = frontdoor_adjust(recon.table, x, y, adjustment)
-    return EffectResult(
-        distribution=dist,
-        criterion=criterion,
-        adjustment=tuple(adjustment),
-        reconstruction=recon,
-    )
+    adjust = backdoor_adjust if criterion == "backdoor" else frontdoor_adjust
+    return {
+        value: EffectResult(
+            distribution=adjust(recon.table, {xvar: value}, y, adjustment),
+            criterion=criterion,
+            adjustment=tuple(adjustment),
+            reconstruction=recon,
+        )
+        for value in values
+    }
 
 
 def identify_causal_effect(

@@ -1,14 +1,22 @@
 """Exact linear programming over equality polytopes with nonnegative variables.
 
 Problems are minimize/maximize c.x subject to A x = b, x >= 0, with every
-coefficient rational.  solve() runs a two-phase simplex under Bland's rule
-so the answer is exact and deterministic; enumerate_vertices() brute-forces
-all basic feasible solutions, which serves as an independent optimality
-oracle for small instances.
+coefficient rational.  solve() runs a two-phase simplex under Bland's rule,
+so the answer is exact and deterministic; phase1() and phase2() are its two
+steps, and one feasible start serves several objectives.  Every returned
+value is a Fraction.  enumerate_vertices() brute-forces all basic feasible
+solutions, an independent optimality oracle for small instances.
 
-Arithmetic uses gmpy2 rationals when available (noticeably faster) and
-falls back to fractions.Fraction; all returned values are plain Fractions
-either way.
+The tableau holds Python integers (fraction-free pivoting after Edmonds and
+Bareiss): each entry is det times the rational one, det > 0, and the pivot
+on p = T[r][c] sets each other row to (p * T[i] - T[i][c] * T[r]) // det,
+an exact division, then det = p.  Integers come from two uniform scalars:
+all rows times the LCM of the coefficient denominators, then all right-hand
+sides times the LCM of theirs.  This multiplies the phase-1 reduced costs of
+the original columns by one positive number and the ratios of each ratio
+test by another, so every Bland choice and the result are those of the
+rational tableau.  Scaling rows separately would reweight the phase-1
+objective and could change the pivot path.
 """
 
 from __future__ import annotations
@@ -16,38 +24,23 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence
+from math import comb, lcm
+from typing import Optional
 
 from .errors import FormatError, SizeError
 from .ratio import parse_rational
-
-try:  # gmpy2 is optional; exact results are identical either way
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover - depends on environment
-    _Q = Fraction
 
 MAX_VERTEX_VARIABLES = 64
 MAX_VERTEX_EQUALITIES = 12
 MAX_BASIS_SETS = 2_000_000
 
 
-def _coerce(value):
-    if isinstance(value, str):
-        return _Q(Fraction(parse_rational(value)))
-    if isinstance(value, int):
-        return _Q(value)
+def _coerce(value) -> Fraction:
     if isinstance(value, Fraction):
-        return _Q(value)
-    if type(value) is type(_Q(0)):
         return value
+    if isinstance(value, (str, int)):
+        return parse_rational(value)
     raise FormatError(f"expected an exact rational, got {value!r}")
-
-
-def _fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(int(value.numerator), int(value.denominator))
 
 
 @dataclass(frozen=True)
@@ -91,10 +84,10 @@ def program_to_json(lp: LinearProgram) -> dict:
     return {
         "n": lp.n,
         "eq": [
-            {"a": [str(_fraction(a)) for a in row], "b": str(_fraction(b))}
+            {"a": [str(a) for a in row], "b": str(b)}
             for row, b in lp.equalities
         ],
-        "obj": [str(_fraction(c)) for c in lp.objective],
+        "obj": [str(c) for c in lp.objective],
         "sense": lp.sense,
     }
 
@@ -115,129 +108,136 @@ def program_from_json(payload: dict) -> LinearProgram:
 # Simplex
 
 
-class _Tableau:
-    """Dense canonical-form tableau over exact rationals."""
+def _eliminate(row, prow, p, c, det):
+    """row after the integer pivot on prow[c] == p; the division is exact."""
+    f = row[c]
+    if f:
+        return [(p * a - f * b) // det for a, b in zip(row, prow)]
+    return row if p == det else [p * a // det for a in row]
 
-    def __init__(self, rows, rhs, basis):
-        self.rows = rows  # list of lists
-        self.rhs = rhs
-        self.basis = basis  # basis[r] = column index basic in row r
+
+class _Tableau:
+    """rows[r]: det times row r of the rational tableau of the scaled program
+    (coefficients, then right-hand side, whose true value is rows[r][-1] /
+    (det * scale)); basis[r]: its basic column; cost: the reduced-cost row,
+    kept the same way, ending in -det times the objective.  Pivots build
+    new row lists, so tableaus may share rows."""
+
+    def __init__(self, rows, basis, det, scale, cost):
+        self.rows, self.basis, self.det, self.scale = rows, basis, det, scale
+        self.cost = cost
 
     def pivot(self, r, c):
-        zero = _Q(0)
-        piv = self.rows[r][c]
-        inv = 1 / piv
-        self.rows[r] = [a * inv for a in self.rows[r]]
-        self.rhs[r] = self.rhs[r] * inv
-        for i in range(len(self.rows)):
-            if i == r:
-                continue
-            factor = self.rows[i][c]
-            if factor == zero:
-                continue
-            prow = self.rows[r]
-            self.rows[i] = [a - factor * b for a, b in zip(self.rows[i], prow)]
-            self.rhs[i] = self.rhs[i] - factor * self.rhs[r]
+        prow = self.rows[r]
+        p, det = prow[c], self.det
+        self.rows = [
+            row if i == r else _eliminate(row, prow, p, c, det)
+            for i, row in enumerate(self.rows)
+        ]
+        if self.cost is not None:
+            self.cost = _eliminate(self.cost, prow, p, c, det)
         self.basis[r] = c
+        if p < 0:  # only a drive-out pivot, which has no cost row, is negative
+            self.rows = [[-a for a in row] for row in self.rows]
+            p = -p
+        self.det = p
 
-    def reduced_costs(self, cost):
-        zero = _Q(0)
-        ncols = len(cost)
-        red = list(cost)
-        for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb == zero:
-                continue
-            row = self.rows[r]
-            for j in range(ncols):
-                red[j] -= cb * row[j]
-        return red
-
-    def optimize(self, cost):
-        """Bland-rule minimization; returns 'optimal' or 'unbounded'."""
-        zero = _Q(0)
+    def optimize(self):
+        """Bland-rule minimization of the cost row; 'optimal' or 'unbounded'."""
         while True:
-            red = self.reduced_costs(cost)
-            entering = next((j for j, z in enumerate(red) if z < zero), None)
+            cost = self.cost
+            entering = next(
+                (j for j in range(len(cost) - 1) if cost[j] < 0), None
+            )
             if entering is None:
                 return "optimal"
             best_r = None
-            best_ratio = None
             for r, row in enumerate(self.rows):
                 a = row[entering]
-                if a > zero:
-                    ratio = self.rhs[r] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[best_r])
-                    ):
-                        best_ratio = ratio
-                        best_r = r
+                if a > 0:
+                    # ratio row[-1] / a against best_b / best_a, cross-multiplied
+                    if best_r is not None:
+                        lhs, rhs = row[-1] * best_a, best_b * a
+                        if lhs > rhs or (
+                            lhs == rhs and self.basis[r] > self.basis[best_r]
+                        ):
+                            continue
+                    best_r, best_a, best_b = r, a, row[-1]
             if best_r is None:
                 return "unbounded"
             self.pivot(best_r, entering)
 
-    def objective_value(self, cost):
-        return sum(
-            (cost[b] * self.rhs[r] for r, b in enumerate(self.basis)), _Q(0)
-        )
+
+def phase1(lp: LinearProgram) -> Optional[_Tableau]:
+    """Feasible start for lp (a basis of its rows), or None when infeasible.
+
+    The start keeps no artificial column and drops the rows that phase 1
+    shows redundant; phase2() optimizes any objective from it.
+    """
+    n = lp.n
+    m = len(lp.equalities)
+    rows = [[_coerce(a) for a in row] + [_coerce(b)] for row, b in lp.equalities]
+    rows = [[-a for a in row] if row[-1] < 0 else row for row in rows]
+    # one scalar for every row, then one for every right-hand side
+    row_scale = lcm(*{a.denominator for row in rows for a in row[:-1]})
+    scale = lcm(*{(row[-1] * row_scale).denominator for row in rows})
+    ints = [
+        [a.numerator * (row_scale // a.denominator) for a in row[:-1]]
+        + [int(i == r) for i in range(m)]
+        + [int(row[-1] * row_scale * scale)]
+        for r, row in enumerate(rows)
+    ]
+
+    # phase 1: artificial variable per row, minimize their sum
+    cost = [-sum(col) for col in zip([0] * (n + m + 1), *ints)]
+    cost[n:-1] = [0] * m  # an artificial's cost 1 less the 1 in its row
+    tab = _Tableau(ints, [n + r for r in range(m)], 1, scale, cost)
+    tab.optimize()
+    if tab.cost[-1] != 0:
+        return None
+    tab.cost = None
+
+    # drive remaining artificials out of the basis; drop redundant rows
+    keep = []
+    for r in range(m):
+        if tab.basis[r] >= n:
+            entering = next((j for j in range(n) if tab.rows[r][j] != 0), None)
+            if entering is None:
+                continue
+            tab.pivot(r, entering)
+        keep.append(r)
+    tab.rows = [tab.rows[r][:n] + tab.rows[r][-1:] for r in keep]
+    tab.basis = [tab.basis[r] for r in keep]
+    return tab
+
+
+def phase2(start: _Tableau, objective, sense: str) -> LPResult:
+    """Optimize objective in sense from a phase1() start, which stays unchanged."""
+    sign = 1 if sense == "min" else -1
+    c = [_coerce(v) for v in objective]
+    gamma = lcm(*{v.denominator for v in c})
+    c = [sign * v.numerator * (gamma // v.denominator) for v in c]
+    cost = [start.det * cj for cj in c] + [0]
+    for row, b in zip(start.rows, start.basis):
+        if c[b]:
+            cost = [z - c[b] * a for z, a in zip(cost, row)]
+    tab = _Tableau(start.rows, list(start.basis), start.det, start.scale, cost)
+    if tab.optimize() == "unbounded":
+        return LPResult(status="unbounded", value=None, witness=None)
+    denom = tab.det * tab.scale
+    witness = [Fraction(0)] * len(objective)
+    for row, b in zip(tab.rows, tab.basis):
+        witness[b] = Fraction(row[-1], denom)
+    value = Fraction(-sign * tab.cost[-1], denom * gamma)
+    return LPResult(status="optimal", value=value, witness=tuple(witness))
 
 
 def solve(lp: LinearProgram) -> LPResult:
     """Exact two-phase simplex.  Never raises on infeasible/unbounded."""
-    zero = _Q(0)
-    n = lp.n
-    m = len(lp.equalities)
-    rows = []
-    rhs = []
-    for row, b in lp.equalities:
-        row = [_coerce(a) for a in row]
-        b = _coerce(b)
-        if b < zero:
-            row = [-a for a in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-
-    # phase 1: artificial variable per row, minimize their sum
-    one = _Q(1)
-    for r in range(m):
-        rows[r] = rows[r] + [one if i == r else zero for i in range(m)]
-    basis = [n + r for r in range(m)]
-    tab = _Tableau(rows, rhs, basis)
-    art_cost = [zero] * n + [one] * m
-    tab.optimize(art_cost)
-    if tab.objective_value(art_cost) != zero:
+    start = phase1(lp)
+    if start is None:
         return LPResult(status="infeasible", value=None, witness=None)
-
-    # drive remaining artificials out of the basis; drop redundant rows
-    keep = []
-    for r in range(len(tab.basis)):
-        if tab.basis[r] < n:
-            keep.append(r)
-            continue
-        entering = next(
-            (j for j in range(n) if tab.rows[r][j] != zero), None
-        )
-        if entering is not None:
-            tab.pivot(r, entering)
-            keep.append(r)
-    tab.rows = [tab.rows[r][:n] for r in keep]
-    tab.rhs = [tab.rhs[r] for r in keep]
-    tab.basis = [tab.basis[r] for r in keep]
-
-    # phase 2
-    sign = one if lp.sense == "min" else -one
-    cost = [sign * _coerce(c) for c in lp.objective]
-    status = tab.optimize(cost)
-    if status == "unbounded":
-        return LPResult(status="unbounded", value=None, witness=None)
-    witness = [Fraction(0)] * n
-    for r, b in enumerate(tab.basis):
-        witness[b] = _fraction(tab.rhs[r])
-    value = _fraction(sign * tab.objective_value(cost))
-    return LPResult(status="optimal", value=value, witness=tuple(witness))
+    return phase2(start, lp.objective, lp.sense)
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +246,13 @@ def solve(lp: LinearProgram) -> LPResult:
 
 def _rref(matrix):
     """In-place exact reduced row echelon form; returns pivot column list."""
-    zero = _Q(0)
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     pivots = []
     r = 0
     for c in range(ncols):
         pivot_row = next(
-            (i for i in range(r, nrows) if matrix[i][c] != zero), None
+            (i for i in range(r, nrows) if matrix[i][c] != 0), None
         )
         if pivot_row is None:
             continue
@@ -261,7 +260,7 @@ def _rref(matrix):
         inv = 1 / matrix[r][c]
         matrix[r] = [a * inv for a in matrix[r]]
         for i in range(nrows):
-            if i != r and matrix[i][c] != zero:
+            if i != r and matrix[i][c] != 0:
                 factor = matrix[i][c]
                 matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
         pivots.append(c)
@@ -286,7 +285,6 @@ def enumerate_vertices(equalities, n: int):
             f"vertex enumeration supports at most {MAX_VERTEX_EQUALITIES} "
             f"equalities, got {len(equalities)}"
         )
-    zero = _Q(0)
     aug = [
         [_coerce(a) for a in row] + [_coerce(b)] for row, b in equalities
     ]
@@ -312,11 +310,11 @@ def enumerate_vertices(equalities, n: int):
         if len(piv2) < rank or rank in piv2:
             continue  # singular basis or inconsistent
         values = [aug2[r][rank] for r in range(rank)]
-        if any(v < zero for v in values):
+        if any(v < 0 for v in values):
             continue
         point = [Fraction(0)] * n
         for c, v in zip(cols, values):
-            point[c] = _fraction(v)
+            point[c] = v
         seen.add(tuple(point))
     return sorted(seen)
 
@@ -326,14 +324,9 @@ def vertex_optimum(equalities, n, objective, sense="min"):
     verts = enumerate_vertices(equalities, n)
     if not verts:
         return None
-    obj = [_fraction(_coerce(c)) for c in objective]
-    best = None
-    best_v = None
-    for v in verts:
-        val = sum(c * x for c, x in zip(obj, v))
-        if best is None or (sense == "min" and val < best) or (
-            sense == "max" and val > best
-        ):
-            best = val
-            best_v = v
-    return best, best_v
+    obj = [_coerce(c) for c in objective]
+    pick = min if sense == "min" else max  # the first vertex among equals
+    return pick(
+        ((sum(c * x for c, x in zip(obj, v)), v) for v in verts),
+        key=lambda pair: pair[0],
+    )

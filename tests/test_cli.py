@@ -273,6 +273,22 @@ def test_identify_recovers_each_stratum_once(workdir, monkeypatch):
         assert list(shared.distribution.probs) == list(alone.distribution.probs)
 
 
+def test_identify_searches_adjustment_set_once(workdir, monkeypatch):
+    calls = []
+    real_search = eigenid.find_adjustment_set
+
+    def counting_search(*args, **kwargs):
+        calls.append(args[1:4])
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(eigenid, "find_adjustment_set", counting_search)
+    code, report = run_json(["identify", "data.csv", "design.json", "model.json"])
+    assert code == 0
+    assert len(report["outputs"]["effects"]) == 2
+    # the back-door search succeeds on the worked example: one call per run
+    assert calls == [("X", "Y", [])]
+
+
 def test_identify_pair_override_and_bad_pair(workdir):
     code, report = run_json(
         ["identify", "data.csv", "design.json", "model.json", "--pair", "X,Y"]

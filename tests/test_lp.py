@@ -1,11 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from simplex_oracle import oracle_solve
 
 from causalprox import (
     FormatError,
+    InfeasibleError,
     LinearProgram,
+    ObservedCells,
     SizeError,
     enumerate_vertices,
     make_program,
@@ -13,6 +17,13 @@ from causalprox import (
     program_to_json,
     solve,
     vertex_optimum,
+)
+from causalprox.bounds import (
+    ALL_INDICES,
+    MONOTONE_INDICES,
+    build_program,
+    cells_from_types,
+    lp_bounds,
 )
 
 F = Fraction
@@ -212,3 +223,141 @@ def test_full_monotone_program_vertex_cross_check():
         want = min(vals) if sense == "min" else max(vals)
         assert res.status == "optimal"
         assert res.value == want
+
+
+# ---------------------------------------------------------------------------
+# The integer simplex against the Fraction simplex it replaced
+# (tests/simplex_oracle.py): same Bland pivots, so the whole LPResult,
+# witness included, must be equal.
+
+DENOMINATORS = (1, 1, 2, 3, 5, 12, 97)
+
+
+def _random_program(rng):
+    """A small rational program: often infeasible, unbounded or with many
+    optimal vertices, with negative right-hand sides, zero rows and
+    duplicated or scaled rows."""
+
+    def rat():
+        return F(rng.randint(-6, 6), rng.choice(DENOMINATORS))
+
+    n = rng.randint(1, 8)
+    point = [F(rng.randint(0, 4), rng.choice(DENOMINATORS)) for _ in range(n)]
+    eqs = []
+    if rng.random() < 0.5:  # a positive row bounds the polytope
+        a = [F(rng.randint(1, 4), rng.choice(DENOMINATORS)) for _ in range(n)]
+        eqs.append((a, sum(x * y for x, y in zip(a, point))))
+    for _ in range(rng.randint(0, 5)):
+        a = [rat() if rng.random() < 0.7 else F(0) for _ in range(n)]
+        if rng.random() < 0.7:
+            b = sum(x * y for x, y in zip(a, point))
+        else:
+            b = rat()  # usually makes the program infeasible
+        eqs.append((a, b))
+        copy = rng.random()
+        if copy < 0.1:
+            eqs.append((a, b))
+        elif copy < 0.2:
+            eqs.append(([F(0)] * n, F(0)))
+        elif copy < 0.3:
+            eqs.append(([-2 * v for v in a], -2 * b))
+    rng.shuffle(eqs)
+    # zero costs leave ties among optimal vertices, so the witness
+    # depends on the pivot path
+    obj = [rat() if rng.random() < 0.6 else F(0) for _ in range(n)]
+    return make_program(n, eqs, obj, rng.choice(("min", "max")))
+
+
+def _random_cells(rng):
+    """Cells from sparse type distributions (monotone or not), or two
+    arbitrary arms, which the monotone model often cannot produce."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        types = MONOTONE_INDICES if kind == 0 else ALL_INDICES
+        weights = [rng.randint(1, 9) if rng.random() < 0.4 else 0 for _ in types]
+        if not any(weights):
+            weights[0] = 1
+        total = sum(weights)
+        return cells_from_types(
+            {t: F(w, total) for t, w in zip(types, weights) if w}
+        )
+    cond = {}
+    for k in (0, 1):
+        weights = [rng.randint(0, 9) for _ in range(4)]
+        weights[rng.randrange(4)] += 1
+        for (i, j), w in zip(((0, 0), (0, 1), (1, 0), (1, 1)), weights):
+            cond[(i, j, k)] = F(w, sum(weights))
+    return ObservedCells(cond=cond)
+
+
+BUILD_VARIANTS = [
+    (monotone, target, drop)
+    for monotone in (True, False)
+    for target in ("x0", "x1")
+    for drop in (None, "s", "t")
+]
+
+
+def _bounds_programs(rng, cell_sets):
+    for _ in range(cell_sets):
+        cells = _random_cells(rng)
+        for monotone, target, drop in BUILD_VARIANTS:
+            yield build_program(cells, monotone, target, drop_proxy=drop)
+
+
+def _check_bounds_programs(rng, cell_sets):
+    """solve == oracle on both senses of every variant; returns the statuses."""
+    statuses = Counter()
+    for prog in _bounds_programs(rng, cell_sets):
+        for sense in ("min", "max"):
+            lp = prog.lp(sense)
+            res = solve(lp)
+            assert res == oracle_solve(lp), (prog.monotone, prog.target, prog.dropped)
+            statuses[res.status] += 1
+    return statuses
+
+
+def test_solve_matches_fraction_oracle_on_random_programs():
+    rng = random.Random(4001)
+    statuses = Counter()
+    for _ in range(2000):
+        lp = _random_program(rng)
+        res = solve(lp)
+        assert res == oracle_solve(lp), program_to_json(lp)
+        statuses[res.status] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 300
+
+
+def test_solve_matches_fraction_oracle_on_every_build_program_variant():
+    statuses = _check_bounds_programs(random.Random(11), 3)
+    assert statuses["optimal"] and statuses["infeasible"]
+
+
+def test_lp_bounds_matches_two_separate_solves():
+    rng = random.Random(12)
+    outcomes = Counter()
+    for prog in _bounds_programs(rng, 6):
+        lower, upper = solve(prog.lp("min")), solve(prog.lp("max"))
+        if lower.status == "infeasible":
+            assert upper.status == "infeasible"
+            with pytest.raises(InfeasibleError):
+                lp_bounds(prog)
+            outcomes["infeasible"] += 1
+            continue
+        res = lp_bounds(prog)
+        assert (res.lower, res.upper) == (lower.value, upper.value)
+        assert res.witnesses == {
+            "lower": dict(zip(prog.variables, lower.witness)),
+            "upper": dict(zip(prog.variables, upper.witness)),
+        }
+        outcomes["optimal"] += 1
+    assert outcomes["optimal"] and outcomes["infeasible"]
+
+
+@pytest.mark.slow
+def test_solve_matches_fraction_oracle_wide_sweep():
+    rng = random.Random(4002)
+    for _ in range(18000):
+        lp = _random_program(rng)
+        assert solve(lp) == oracle_solve(lp), program_to_json(lp)
+    _check_bounds_programs(rng, 84)  # 84 cell sets x 12 variants x 2 senses
