@@ -35,7 +35,6 @@ from .eigenid import (
 )
 from .graph import (
     CausalDiagram,
-    d_separated,
     diagram_from_json,
     find_open_path,
     satisfies_backdoor,
@@ -146,10 +145,8 @@ def cmd_check(args) -> int:
     given = _split_csv_arg(args.set or "", "--set")
     diagnostics = []
     if args.criterion == "dsep":
-        holds = d_separated(graph, x, y, given)
-        failing = None
-        if not holds:
-            failing = find_open_path(graph, x, y, given)
+        failing = find_open_path(graph, x, y, given)
+        holds = failing is None
         outputs = {
             "criterion": "dsep",
             "x": x,

@@ -4,11 +4,18 @@ A diagram is a DAG over named vertices plus optional bidirected edges
 standing for unmeasured common causes.  Every query first replaces each
 bidirected edge a <-> b with a fresh latent parent a <- L -> b, so the
 separation semantics are those of the fully directed expansion.
+
+Every d-connection question (d-separation, back-door and front-door
+clauses) runs on one breadth-first search with parent pointers: Bayes-Ball
+(Shachter 1998) for open paths, and a search over children for the
+directed paths of front-door clause 1.  Each returns a shortest path as
+its witness, ties going to the neighbour whose name sorts first.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -167,89 +174,33 @@ def d_separated(g: CausalDiagram, a, b, c=()) -> bool:
     """True when every path between a and b is blocked given c.
 
     a, b, c may be vertex names or iterables of names; a, b, c must be
-    pairwise disjoint.  Runs on the latent expansion of the diagram via
-    the ancestral moral graph, which is equivalent to path blocking.
+    pairwise disjoint.  Runs the Bayes-Ball search of find_open_path.
     """
-    aset = _as_vertex_set(g, a, "first argument")
-    bset = _as_vertex_set(g, b, "second argument")
-    cset = _as_vertex_set(g, c, "conditioning set")
-    if aset & bset or aset & cset or bset & cset:
-        raise PreconditionError("d-separation arguments must be pairwise disjoint")
-    if not aset or not bset:
-        return True
+    return find_open_path(g, a, b, c) is None
 
-    gx = expand_bidirected(g)
-    anc = gx.ancestors_inclusive(aset | bset | cset)
 
-    # Moralize the induced ancestral subgraph.
-    moral = {v: set() for v in anc}
-    for u, v in gx.directed:
-        if u in anc and v in anc:
-            moral[u].add(v)
-            moral[v].add(u)
-    for v in anc:
-        ps = [p for p in gx.parents(v) if p in anc]
-        for p1, p2 in itertools.combinations(ps, 2):
-            moral[p1].add(p2)
-            moral[p2].add(p1)
+def _shortest_walk(start, step, targets) -> Optional[tuple]:
+    """Breadth-first search from the state start; states are (vertex, flag).
 
-    # Connectivity from a to b avoiding c.
-    stack = [v for v in aset]
-    seen = set(aset)
-    while stack:
-        cur = stack.pop()
-        for nxt in moral[cur]:
-            if nxt in cset or nxt in seen:
+    step(state) lists the successor states.  Returns the vertices of the
+    first walk to reach a vertex in targets, or None.
+    """
+    prev = {start: None}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        for nxt in step(state):
+            if nxt in prev:
                 continue
-            if nxt in bset:
-                return False
-            seen.add(nxt)
-            stack.append(nxt)
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Path machinery used by the criterion checks and by witness reporting.
-# Exponential in the worst case, which is fine at the scale these graphs
-# have; d_separated above is the fast path.
-
-
-def _path_blocked(gx: CausalDiagram, path, cset) -> bool:
-    for m in range(1, len(path) - 1):
-        prev, v, nxt = path[m - 1], path[m], path[m + 1]
-        into_from_prev = (prev, v) in gx.directed
-        into_from_next = (nxt, v) in gx.directed
-        if into_from_prev and into_from_next:
-            opened = v in cset or (gx.descendants(v) & cset)
-            if not opened:
-                return True
-        elif v in cset:
-            return True
-    return False
-
-
-def _iter_simple_paths(gx: CausalDiagram, start, targets):
-    adj = {v: set() for v in gx.vertices}
-    for u, v in gx.directed:
-        adj[u].add(v)
-        adj[v].add(u)
-    path = [start]
-    on_path = {start}
-
-    def walk(v):
-        for nxt in sorted(adj[v]):
-            if nxt in on_path:
-                continue
-            path.append(nxt)
-            if nxt in targets:
-                yield tuple(path)
-            else:
-                on_path.add(nxt)
-                yield from walk(nxt)
-                on_path.discard(nxt)
-            path.pop()
-
-    yield from walk(start)
+            prev[nxt] = state
+            if nxt[0] in targets:
+                walk = []
+                while nxt is not None:
+                    walk.append(nxt[0])
+                    nxt = prev[nxt]
+                return tuple(reversed(walk))
+            queue.append(nxt)
+    return None
 
 
 def find_open_path(
@@ -259,40 +210,48 @@ def find_open_path(
     c=(),
     require_arrow_into_start: bool = False,
 ) -> Optional[tuple]:
-    """Return one unblocked path from a to b given c, or None.
+    """Return a shortest unblocked path from a to b given c, or None.
 
-    With require_arrow_into_start, only paths whose first edge points at
-    the start vertex count (back-door paths).  Latent expansion vertices
-    may appear inside the returned path; they are part of the witness.
+    a, b, c may be vertex names or iterables of names and must be pairwise
+    disjoint.  Starts are tried in sorted order; the path comes from the
+    first start that has one, and it ends at the first member of b it
+    reaches.  Ties between shortest paths go to the neighbour that sorts
+    first.  With require_arrow_into_start, only paths whose first edge
+    points at the start vertex count (back-door paths).  Latent expansion
+    vertices may appear inside the returned path; they are part of the
+    witness.
+
+    The search is Bayes-Ball (Shachter 1998): a breadth-first search on
+    the latent expansion over states (vertex, entered along an arrow),
+    each visited at most once.  A non-collider passes unless it is
+    in c; a collider passes when it or a descendant is in c.  A vertex
+    repeated on an open walk can always be cut out, so the shortest open
+    walk is a simple path.
     """
     aset = _as_vertex_set(g, a, "first argument")
     bset = _as_vertex_set(g, b, "second argument")
     cset = _as_vertex_set(g, c, "conditioning set")
+    if aset & bset or aset & cset or bset & cset:
+        raise PreconditionError("d-separation arguments must be pairwise disjoint")
     gx = expand_bidirected(g)
+    opens = gx.ancestors_inclusive(cset)
+
     for start in sorted(aset):
-        for path in _iter_simple_paths(gx, start, bset):
-            if require_arrow_into_start and (path[1], path[0]) not in gx.directed:
-                continue
-            if not _path_blocked(gx, path, cset):
-                return path
+        def step(state, start=start):
+            # A back-door search leaves the start by its parents only.  A
+            # walk that re-enters the start reaches no state not seen yet.
+            v, entered = state
+            up = v in opens if entered else v not in cset
+            down = v not in cset and not (v == start and require_arrow_into_start)
+            moves = [(p, False) for p in gx.parents(v)] if up else []
+            if down:
+                moves += [(ch, True) for ch in gx.children(v)]
+            return sorted(moves)
+
+        path = _shortest_walk((start, False), step, bset)
+        if path is not None:
+            return path
     return None
-
-
-def _directed_paths(gx: CausalDiagram, x, y):
-    path = [x]
-
-    def walk(v):
-        for nxt in sorted(gx.children(v)):
-            if nxt in path:
-                continue
-            path.append(nxt)
-            if nxt == y:
-                yield tuple(path)
-            else:
-                yield from walk(nxt)
-            path.pop()
-
-    yield from walk(x)
 
 
 @dataclass(frozen=True)
@@ -323,7 +282,8 @@ def satisfies_backdoor(g: CausalDiagram, x: str, y: str, z=()) -> CriterionRepor
     """Check the back-door criterion for z relative to (x, y).
 
     Two requirements: no member of z descends from x, and z blocks every
-    path from x to y that starts with an arrow into x.
+    path from x to y that starts with an arrow into x.  When the second
+    fails, the witness is a shortest such open path.
     """
     zset = _criterion_pre(g, x, y, z)
     desc = g.descendants(x)
@@ -350,18 +310,23 @@ def satisfies_frontdoor(g: CausalDiagram, x: str, y: str, z=()) -> CriterionRepo
     Three requirements: z intercepts every directed path from x to y; no
     unblocked path from x into z starts with an arrow into x; and every
     path from a member of z to y that starts with an arrow into that
-    member is blocked by {x} alone.
+    member is blocked by {x} alone.  A failure carries a shortest witness:
+    a directed path avoiding z for the first clause, an open path for the
+    other two.
     """
     zset = _criterion_pre(g, x, y, z)
-    gx = expand_bidirected(g)
 
-    for path in _directed_paths(gx, x, y):
-        if not (set(path[1:-1]) & zset):
-            return CriterionReport(
-                "frontdoor", x, y, tuple(sorted(zset)), False,
-                failing_clause="intercepts-directed-paths", failing_path=path,
-                detail="directed path avoids the mediator set",
-            )
+    path = _shortest_walk(
+        (x, True),
+        lambda state: [(ch, True) for ch in sorted(g.children(state[0])) if ch not in zset],
+        {y},
+    )
+    if path is not None:
+        return CriterionReport(
+            "frontdoor", x, y, tuple(sorted(zset)), False,
+            failing_clause="intercepts-directed-paths", failing_path=path,
+            detail="directed path avoids the mediator set",
+        )
 
     if zset:
         witness = find_open_path(g, x, sorted(zset), (), require_arrow_into_start=True)

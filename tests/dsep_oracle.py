@@ -1,8 +1,11 @@
 """Brute-force d-separation oracle and graph generators for the test suite.
 
 Deliberately independent of the package: adjacency, descendant closure, and
-the path-blocking rule are all coded from scratch here, so agreement with
-causalprox.graph.d_separated (which moralizes) is meaningful evidence.
+the path-blocking rule are all coded from scratch here, by listing every
+simple path, so agreement with causalprox.graph (a Bayes-Ball search) is
+meaningful evidence.  Hidden vertices of the latent expansion are named
+``__h<i>``; the package names its own differently, so tests compare paths
+with hidden vertices masked.
 """
 
 import itertools
@@ -19,7 +22,8 @@ def _latent_expand(vertices, directed, bidirected):
     return verts, edges
 
 
-def _descendants(edges, v):
+def descendants(edges, v):
+    """Proper descendants of v (v itself excluded)."""
     kids = {}
     for a, b in edges:
         kids.setdefault(a, set()).add(b)
@@ -58,31 +62,98 @@ def _simple_paths(vertices, edges, start, goal):
     yield from walk(start)
 
 
-def path_d_separated(vertices, directed, bidirected, a, b, cond):
-    """True when every path from a to b is blocked given cond.
+def _is_open(path, eset, cset, desc):
+    """True when no interior vertex of path blocks it given cset.
 
     A path is blocked when some interior vertex is either a non-collider in
-    cond, or a collider with neither itself nor any descendant in cond.
+    cset, or a collider with neither itself nor any descendant in cset.
+    """
+    for m in range(1, len(path) - 1):
+        prev, mid, nxt = path[m - 1], path[m], path[m + 1]
+        collider = (prev, mid) in eset and (nxt, mid) in eset
+        if collider:
+            if mid not in cset and not (desc[mid] & cset):
+                return False
+        elif mid in cset:
+            return False
+    return True
+
+
+def path_d_separated(vertices, directed, bidirected, a, b, cond):
+    """True when every path from a to b is blocked given cond."""
+    verts, edges = _latent_expand(vertices, directed, bidirected)
+    eset = set(edges)
+    cset = set(cond)
+    desc = {v: descendants(edges, v) for v in verts}
+    return not any(
+        _is_open(path, eset, cset, desc) for path in _simple_paths(verts, edges, a, b)
+    )
+
+
+def open_paths(vertices, directed, bidirected, start, targets, cond, into_start=False):
+    """Every open simple path from start to a member of targets given cond.
+
+    Paths run on the latent expansion and carry no other member of targets.
+    With into_start, only paths whose first edge points at start count.
     """
     verts, edges = _latent_expand(vertices, directed, bidirected)
     eset = set(edges)
     cset = set(cond)
-    desc = {v: _descendants(edges, v) for v in verts}
-    for path in _simple_paths(verts, edges, a, b):
-        blocked = False
-        for m in range(1, len(path) - 1):
-            prev, mid, nxt = path[m - 1], path[m], path[m + 1]
-            collider = (prev, mid) in eset and (nxt, mid) in eset
-            if collider:
-                if mid not in cset and not (desc[mid] & cset):
-                    blocked = True
-                    break
-            elif mid in cset:
-                blocked = True
-                break
-        if not blocked:
-            return False
-    return True
+    targets = set(targets)
+    desc = {v: descendants(edges, v) for v in verts}
+    out = []
+    for goal in sorted(targets):
+        for path in _simple_paths(verts, edges, start, goal):
+            if targets & set(path[1:-1]):
+                continue
+            if into_start and (path[1], path[0]) not in eset:
+                continue
+            if _is_open(path, eset, cset, desc):
+                out.append(path)
+    return out
+
+
+def directed_paths(vertices, directed, start, goal):
+    """Every directed path start -> ... -> goal."""
+    eset = set(directed)
+    return [
+        path
+        for path in _simple_paths(vertices, directed, start, goal)
+        if all(edge in eset for edge in zip(path, path[1:]))
+    ]
+
+
+def backdoor_failure(vertices, directed, bidirected, x, y, z):
+    """The failing back-door clause and the witnesses it allows.
+
+    Returns (None, []) when z meets the criterion for (x, y).
+    """
+    if set(z) & descendants(directed, x):
+        return "no-descendants", []
+    paths = open_paths(vertices, directed, bidirected, x, {y}, z, into_start=True)
+    return ("blocks-spurious-paths", paths) if paths else (None, [])
+
+
+def frontdoor_failure(vertices, directed, bidirected, x, y, z):
+    """The first failing front-door clause and the witnesses it allows.
+
+    Clauses are taken in the order directed paths, exposure-mediator,
+    mediator-outcome (mediators in sorted order).  Returns (None, []) when
+    z meets the criterion for (x, y).
+    """
+    zset = set(z)
+    paths = [p for p in directed_paths(vertices, directed, x, y) if not zset & set(p[1:-1])]
+    if paths:
+        return "intercepts-directed-paths", paths
+    if zset:
+        paths = open_paths(vertices, directed, bidirected, x, zset, (), into_start=True)
+        if paths:
+            return "exposure-mediator-unconfounded", paths
+        for m in sorted(zset):
+            paths = open_paths(vertices, directed, bidirected, m, {y}, (x,), into_start=True)
+            if paths:
+                return "mediator-outcome-unconfounded", paths
+    return None, []
 
 
 def all_dags(labels):

@@ -24,7 +24,15 @@ from causalprox.fixtures import (
     mediator_diagram,
 )
 
-from dsep_oracle import all_dags, path_d_separated, random_mixed_graph
+from dsep_oracle import (
+    all_dags,
+    backdoor_failure,
+    descendants,
+    frontdoor_failure,
+    open_paths,
+    path_d_separated,
+    random_mixed_graph,
+)
 
 
 def _queries(labels):
@@ -79,6 +87,10 @@ def test_dsep_rejects_overlapping_arguments():
         d_separated(g, "A", "A")
     with pytest.raises(PreconditionError):
         d_separated(g, "A", "B", ["A"])
+    with pytest.raises(PreconditionError):
+        find_open_path(g, "A", "A")
+    with pytest.raises(PreconditionError):
+        find_open_path(g, "A", "B", ["B"], require_arrow_into_start=True)
 
 
 def test_dsep_rejects_unknown_vertices():
@@ -104,25 +116,101 @@ def test_expand_bidirected_adds_fresh_latent_parents():
     assert d_separated(g, "A", "B") is False
 
 
+def _masked(path, labels):
+    """The path with hidden latent vertices masked; the two vertices
+    beside a hidden one name the bidirected edge it stands for."""
+    return tuple(v if v in labels else "<->" for v in path)
+
+
+def _assert_shortest_oracle_path(path, allowed, labels, context):
+    """path is None exactly when the oracle allows none; else it is one of
+    the oracle's paths and no allowed path is shorter."""
+    if not allowed:
+        assert path is None, context
+        return
+    assert path is not None, context
+    assert _masked(path, labels) in {_masked(p, labels) for p in allowed}, (path, context)
+    assert len(path) == min(len(p) for p in allowed), (path, context)
+
+
 def test_find_open_path_agrees_with_oracle_blocking():
     rng = random.Random(98)
-    for _ in range(150):
+    found = multi_target = cond_below_start = 0
+    for _ in range(1500):
         labels, directed, bidirected = random_mixed_graph(rng, rng.randint(4, 7))
         g = build_diagram(labels, directed, bidirected)
-        a, b = rng.sample(labels, 2)
-        rest = [v for v in labels if v not in (a, b)]
+        picked = rng.sample(labels, rng.choice((2, 3, 3, 4)))
+        starts = picked[:1] if rng.random() < 0.7 else picked[:2]
+        targets = picked[len(starts):]
+        rest = [v for v in labels if v not in picked]
         cond = tuple(v for v in rest if rng.random() < 0.4)
-        path = find_open_path(g, a, b, cond)
-        if d_separated(g, a, b, cond):
-            assert path is None
-        else:
-            assert path is not None
-            assert path[0] == a and path[-1] == b
-            # the reported witness must itself be open in the expanded graph
-            gx = expand_bidirected(g)
-            assert not path_d_separated(
-                gx.vertices, gx.directed, (), path[0], path[-1], cond
-            ) or len(path) >= 2
+        into = rng.random() < 0.5
+        path = find_open_path(g, starts, targets, cond, require_arrow_into_start=into)
+        # the package tries starts in sorted order and reports the first hit
+        allowed = []
+        for start in sorted(starts):
+            allowed = open_paths(labels, directed, bidirected, start, targets, cond, into)
+            if allowed:
+                break
+        _assert_shortest_oracle_path(
+            path, allowed, labels, (directed, bidirected, starts, targets, cond, into)
+        )
+        found += path is not None
+        multi_target += len(targets) > 1
+        cond_below_start += into and any(
+            set(cond) & descendants(directed, s) for s in starts
+        )
+    assert found > 800 and multi_target > 700 and cond_below_start > 100
+    # The collider W is open only through the start's descendant D, so
+    # cutting the edges out of S would return the longer S-N-M-W-B-Y.
+    g = build_diagram(
+        "SWMNDBY",
+        [("W", "M"), ("M", "N"), ("N", "S"), ("S", "D"), ("B", "W"), ("B", "Y")],
+        [("S", "W")],
+    )
+    path = find_open_path(g, "S", "Y", ["D"], require_arrow_into_start=True)
+    assert _masked(path, g.vertices) == ("S", "<->", "W", "B", "Y")
+
+
+def test_criteria_match_path_oracle_on_random_mixed_graphs():
+    rng = random.Random(5150)
+    clauses = {"backdoor": set(), "frontdoor": set()}
+    mediator_above_exposure = 0
+    for _ in range(600):
+        labels, directed, bidirected = random_mixed_graph(rng, rng.randint(4, 7))
+        g = build_diagram(labels, directed, bidirected)
+        x, y = rng.sample(labels, 2)
+        if x in descendants(directed, y):
+            x, y = y, x
+        rest = [v for v in labels if v not in (x, y)]
+        z = tuple(v for v in rest if rng.random() < 0.4)
+        for name, check, oracle in (
+            ("backdoor", satisfies_backdoor, backdoor_failure),
+            ("frontdoor", satisfies_frontdoor, frontdoor_failure),
+        ):
+            rep = check(g, x, y, z)
+            clause, allowed = oracle(labels, directed, bidirected, x, y, z)
+            context = (name, directed, bidirected, x, y, z)
+            assert rep.failing_clause == clause, (rep, context)
+            assert rep.holds == (clause is None), context
+            clauses[name].add(clause)
+            if clause in (None, "no-descendants"):
+                assert rep.failing_path is None, context
+            else:
+                _assert_shortest_oracle_path(rep.failing_path, allowed, labels, context)
+            if clause == "intercepts-directed-paths":
+                assert not set(rep.failing_path[1:-1]) & set(z), context
+        # a mediator that is an ancestor of x: the bench oracle leaves this
+        # case out (the directed path from it into x fails clause 2)
+        mediator_above_exposure += any(x in descendants(directed, v) for v in z)
+    assert clauses["backdoor"] == {None, "no-descendants", "blocks-spurious-paths"}
+    assert clauses["frontdoor"] == {
+        None,
+        "intercepts-directed-paths",
+        "exposure-mediator-unconfounded",
+        "mediator-outcome-unconfounded",
+    }
+    assert mediator_above_exposure > 60
 
 
 def test_backdoor_fixture_confounder_chain():
