@@ -112,7 +112,6 @@ from .table import (
     JointTable,
     backdoor_adjust,
     frontdoor_adjust,
-    intervene_truncated,
     load_counts,
     make_table,
 )

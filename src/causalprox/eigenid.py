@@ -18,7 +18,10 @@ invariant to relabeling are available (order_free_bounds).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -222,23 +225,54 @@ def check_design(table: JointTable, design: ProxyDesign) -> None:
 
 @dataclass(frozen=True)
 class StratumMatrices:
-    """Square cross-moment matrices for one stratum.
+    """Square cross-moment matrices for one stratum, as numerators.
 
-    by_anchor maps every anchor value w to the matrix whose [i][j] entry
-    holds the conditional mass of (s event i AND t event j AND w) given the
-    stratum, with index 0 meaning "no constraint".  p is their exact sum
-    (the anchor summed out) and q the matrix at the design's anchor value.
-    Entries keep the table's arithmetic mode.
+    counts[i, j, a] is the table numerator of (s event i AND t event j
+    AND anchor value w_values[a]) inside the stratum, index 0 meaning "no
+    constraint", and total is the stratum's own numerator, so every
+    moment is exactly counts / total.  In rational mode both hold Python
+    ints.  The pencil reads p_float and floats (indexed like counts), made
+    by int / int true division, which rounds correctly: each entry equals
+    float(Fraction) of the exact moment.
+    by_anchor maps every anchor value to its exact matrix, p is their sum
+    (the anchor summed out) and q the matrix at the design's anchor
+    value; their entries keep the table's arithmetic mode.
     """
 
     stratum: tuple
-    p: np.ndarray
-    q: np.ndarray
-    by_anchor: dict
+    counts: np.ndarray
+    total: object
+    w_values: tuple
+    anchor: int
 
     @property
     def k(self):
-        return self.p.shape[0]
+        return self.counts.shape[0]
+
+    def _exact(self, counts):
+        if counts.dtype == object:  # Python ints: one Fraction per entry
+            return counts * Fraction(1, self.total)
+        return counts / self.total
+
+    @property
+    def by_anchor(self):
+        return {w: self._exact(self.counts[:, :, a]) for a, w in enumerate(self.w_values)}
+
+    @property
+    def p(self):
+        return self._exact(self.counts.sum(axis=2))
+
+    @property
+    def q(self):
+        return self._exact(self.counts[:, :, self.anchor])
+
+    @cached_property
+    def p_float(self):
+        return np.asarray(self.counts.sum(axis=2) / self.total, dtype=float)
+
+    @cached_property
+    def floats(self):
+        return np.asarray(self.counts / self.total, dtype=float)
 
 
 def stratum_assignments(design: ProxyDesign, table: JointTable):
@@ -249,6 +283,17 @@ def stratum_assignments(design: ProxyDesign, table: JointTable):
     return [dict(zip(design.z_vars, combo)) for combo in itertools.product(*axes)]
 
 
+def _event_rows(table, vars_, select):
+    """Row of each selected value vector once the margin is row 0."""
+    shape = [len(table.categories(v)) for v in vars_]
+    return [0] + [
+        1 + int(np.ravel_multi_index(
+            [table._index_of(v, val) for v, val in zip(vars_, vec)], shape
+        ))
+        for vec in select
+    ]
+
+
 def cross_moment_matrices(
     table: JointTable,
     design: ProxyDesign,
@@ -257,35 +302,40 @@ def cross_moment_matrices(
     """Build the pencil matrices for one stratum, one per anchor value.
 
     Rows follow the s events, columns the t events, both prefixed by the
-    unconstrained event.  Raises ZeroMassError when the stratum itself has
-    no mass.
+    unconstrained event.  The stratum's numerators are summed over every
+    variable outside S, T and W once, then each matrix is read off by
+    fancy indexing.  Raises ZeroMassError when the stratum itself has no
+    mass.
     """
     stratum = dict(stratum or {})
-    zmass = table.mass(stratum)
-    if zmass == 0:
+    block = table._block(stratum)
+    total = block.sum()
+    if total == 0:
         raise ZeroMassError(f"stratum {stratum!r} has zero mass")
     # an anchor value outside the table raises the table's own error here
-    table.mass(dict(zip(design.w_vars, design.w_value)))
+    table._block(dict(zip(design.w_vars, design.w_value)))
 
-    k = design.k
-    s_events = [{}] + [dict(zip(design.s_vars, vec)) for vec in design.s_select]
-    t_events = [{}] + [dict(zip(design.t_vars, vec)) for vec in design.t_select]
-    dtype = object if table.mode == "rational" else float
-    w_axes = [table.categories(v) for v in design.w_vars]
-    by_anchor = {}
-    for w_value in itertools.product(*w_axes):
-        base = dict(stratum)
-        base.update(zip(design.w_vars, w_value))
-        matrix = np.empty((k, k), dtype=dtype)
-        for i, s_ev in enumerate(s_events):
-            for j, t_ev in enumerate(t_events):
-                matrix[i, j] = table.mass({**base, **s_ev, **t_ev}) / zmass
-        by_anchor[w_value] = matrix
+    roles = design.s_vars + design.t_vars + design.w_vars
+    rest = [v for v in table.variables if v not in stratum]
+    drop = tuple(i for i, v in enumerate(rest) if v not in roles)
+    kept = [v for v in rest if v in roles]
+    moments = block.sum(axis=drop) if drop else block
+    moments = moments.transpose([kept.index(v) for v in roles])
+    n_s = math.prod(len(table.categories(v)) for v in design.s_vars)
+    n_t = math.prod(len(table.categories(v)) for v in design.t_vars)
+    moments = moments.reshape(n_s, n_t, -1)
+    # prepend the margins as row 0 and column 0
+    moments = np.concatenate([moments.sum(axis=0, keepdims=True), moments], axis=0)
+    moments = np.concatenate([moments.sum(axis=1, keepdims=True), moments], axis=1)
+    rows = _event_rows(table, design.s_vars, design.s_select)
+    cols = _event_rows(table, design.t_vars, design.t_select)
+    w_values = tuple(itertools.product(*(table.categories(v) for v in design.w_vars)))
     return StratumMatrices(
         stratum=tuple(sorted(stratum.items())),
-        p=sum(by_anchor.values()),
-        q=by_anchor[tuple(design.w_value)],
-        by_anchor=by_anchor,
+        counts=moments[np.ix_(rows, cols)],
+        total=total,
+        w_values=w_values,
+        anchor=w_values.index(tuple(design.w_value)),
     )
 
 
@@ -301,12 +351,6 @@ class PencilEigensystem:
     right: np.ndarray
     left: np.ndarray
     residual: float
-
-
-def _as_float(matrix: np.ndarray) -> np.ndarray:
-    return np.array(
-        [[float(x) for x in row] for row in matrix], dtype=float
-    )
 
 
 def _check_invertible(matrix: np.ndarray, name: str, tol: Tolerances) -> None:
@@ -329,8 +373,8 @@ def solve_pencil(
     within tolerance.  Eigenvalues are returned ascending with matching
     right (columns) and left (columns, for the transposed pencil) vectors.
     """
-    p = _as_float(p)
-    q = _as_float(q)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DesignError("pencil matrices must be square and equal-shaped")
     k = p.shape[0]
@@ -457,7 +501,7 @@ def recover_factors(
     those inverses must leave a diagonal matrix whose entries are the
     latent prior.
     """
-    p = _as_float(p)
+    p = np.asarray(p, dtype=float)
     t_rows, t_normalizer = _normalized_inverse(system.right, "right", tol)
     s_rows, s_normalizer = _normalized_inverse(system.left, "left", tol)
     # p factors as s_rows.T @ diag(prior) @ t_rows, so conjugating by the
@@ -526,15 +570,15 @@ def _anchor_profile(sm: StratumMatrices, factors: LatentFactors, tol: Tolerances
     Returns (w_values, delta matrix indexed [anchor value][latent i],
     max off-diagonal residual, max replay residual over Q matrices).
     """
-    w_values = list(sm.by_anchor)
+    w_values = list(sm.w_values)
     s_inv_t = np.linalg.inv(factors.s_rows).T
     t_inv = np.linalg.inv(factors.t_rows)
     prior = np.array(factors.prior)
     deltas = np.empty((len(w_values), len(prior)))
     worst_off = 0.0
     worst_replay = 0.0
-    for a, (w_value, matrix) in enumerate(sm.by_anchor.items()):
-        q = _as_float(matrix)
+    for a, w_value in enumerate(w_values):
+        q = sm.floats[:, :, a]
         mixed = s_inv_t @ q @ t_inv
         diag = np.diag(mixed)
         scale = max(1.0, float(np.abs(prior).max()))
@@ -555,8 +599,8 @@ def _anchor_profile(sm: StratumMatrices, factors: LatentFactors, tol: Tolerances
 def _recover_stratum(table, design, stratum, tol):
     """Cross moments, pencil and factors for one stratum, in pencil order."""
     sm = cross_moment_matrices(table, design, stratum)
-    system = solve_pencil(sm.p, sm.q, tol)
-    return sm, recover_factors(system, sm.p, tol, stratum=sm.stratum)
+    system = solve_pencil(sm.p_float, sm.floats[:, :, sm.anchor], tol)
+    return sm, recover_factors(system, sm.p_float, tol, stratum=sm.stratum)
 
 
 def identify_joint(
@@ -616,7 +660,7 @@ def identify_joint(
         factors_out.append(factors)
 
         p_replay = factors.s_rows.T @ np.diag(factors.prior) @ factors.t_rows
-        p_gap = float(np.abs(p_replay - _as_float(sm.p)).max())
+        p_gap = float(np.abs(p_replay - sm.p_float).max())
         w_values, deltas, off, q_gap = _anchor_profile(sm, factors, tol)
         totals = deltas.sum(axis=0)
         total_gap = float(np.abs(totals - 1.0).max())
@@ -624,7 +668,7 @@ def identify_joint(
         replay["anchor_diag"] = max(replay["anchor_diag"], off)
         replay["anchor_total"] = max(replay["anchor_total"], total_gap)
 
-        zmass = float(table.mass(stratum))
+        zmass = sm.total / table.den
         z_index = tuple(
             z_axes[n].index(dict(sm.stratum)[v])
             for n, v in enumerate(design.z_vars)

@@ -1,10 +1,17 @@
 """Dense discrete probability tables with exact-rational and float modes.
 
-Tables are immutable.  Rational mode keeps every entry a Fraction so LP
-inputs and fixture arithmetic stay exact; float mode is what the eigen
-pipeline consumes.  Category order inside each variable follows the
-declared schema, never the order rows happen to appear in a data file
-when a schema is supplied.
+A table stores numerators over one common denominator: entry i has
+probability ``num[i] / den``.  In rational mode ``num`` is an object
+array of nonnegative Python ints (identify inputs reach 67-bit
+denominators, past int64) summing to ``den``, so every sum over cells is
+an integer sum bounded by ``den`` and a single Fraction is built at the
+end.  Floats taken from a rational table come from ``int / int`` true
+division, which rounds correctly and equals ``float(Fraction)``.  In
+float mode ``num`` holds the float probabilities and ``den`` is 1.
+
+Tables are immutable and their arrays read-only.  Category order inside
+each variable follows the declared schema, never the order rows happen
+to appear in a data file when a schema is supplied.
 """
 
 from __future__ import annotations
@@ -12,9 +19,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +33,6 @@ from .errors import (
     PositivityError,
     SchemaMismatchError,
     UnknownVariableError,
-    ZeroConditionalError,
     ZeroMassError,
 )
 from .ratio import parse_rational
@@ -54,31 +62,55 @@ def _validate_schema(schema, allow_empty=False):
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
-    """Joint distribution over the schema's variables, row-major in probs."""
+    """Joint distribution over the schema's variables, row-major.
+
+    Entry i has probability num[i] / den; see the module docstring.
+    With den omitted, num holds the probabilities: Fraction() inputs in
+    rational mode, floats in float mode.  num is always copied and kept
+    read-only; probs, the read-only probability array, is built from num
+    and den on first use in rational mode.
+    """
 
     schema: tuple
-    probs: np.ndarray = field(repr=False)
+    num: np.ndarray = field(repr=False)
     mode: str = "rational"
+    den: int = None
 
     def __post_init__(self):
-        shape = tuple(len(cats) for _, cats in self.schema)
-        if self.probs.shape != shape:
-            raise SchemaMismatchError(
-                f"probs shape {self.probs.shape} does not match schema shape {shape}"
-            )
-        total = self.probs.sum() if self.probs.size else self.probs[()]
-        if self.mode == "rational":
-            if any(p < 0 for p in self.probs.flat):
-                raise FormatError("negative probability entry")
-            if total != 1:
-                raise FormatError(f"probabilities sum to {total}, not 1")
-        elif self.mode == "float":
-            if (self.probs < 0).any():
-                raise FormatError("negative probability entry")
-            if abs(float(total) - 1.0) > float(MASS_TOL):
-                raise FormatError(f"probabilities sum to {float(total)!r}, not 1")
-        else:
+        if self.mode not in ("rational", "float"):
             raise FormatError(f"unknown table mode {self.mode!r}")
+        rational = self.mode == "rational"
+        num = np.array(self.num, dtype=object if rational else np.float64)
+        den = self.den
+        if den is None and rational:
+            fracs = [Fraction(p) for p in num.flat]
+            den = math.lcm(*(f.denominator for f in fracs))
+            num = np.array(
+                [f.numerator * (den // f.denominator) for f in fracs], dtype=object
+            ).reshape(num.shape)
+        shape = tuple(len(cats) for _, cats in self.schema)
+        if num.shape != shape:
+            raise SchemaMismatchError(
+                f"probs shape {num.shape} does not match schema shape {shape}"
+            )
+        if any(n < 0 for n in num.flat) if rational else (num < 0).any():
+            raise FormatError("negative probability entry")
+        total = num.sum()
+        if rational and total != den:
+            raise FormatError(f"probabilities sum to {Fraction(total, den)}, not 1")
+        if not rational and abs(float(total) - 1.0) > float(MASS_TOL):
+            raise FormatError(f"probabilities sum to {float(total)!r}, not 1")
+        num.flags.writeable = False
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", 1 if den is None else den)
+
+    @cached_property
+    def probs(self):
+        if self.mode == "float":
+            return self.num
+        probs = np.array([Fraction(n, self.den) for n in self.num.flat], dtype=object)
+        probs.flags.writeable = False
+        return probs.reshape(self.num.shape)
 
     # -- schema helpers ----------------------------------------------------
 
@@ -105,15 +137,19 @@ class JointTable:
         except ValueError:
             raise UnknownVariableError(f"{value!r} is not a category of {var!r}") from None
 
+    def _block(self, assignment):
+        """Numerators of the cells matching a partial assignment, as an array."""
+        idx = [slice(None)] * len(self.schema)
+        for var, value in assignment.items():
+            idx[self._axis(var)] = self._index_of(var, value)
+        return self.num[tuple(idx) + (Ellipsis,)]
+
     # -- queries -----------------------------------------------------------
 
     def mass(self, assignment):
         """Probability of a partial assignment (dict var -> category)."""
-        idx = [slice(None)] * len(self.schema)
-        for var, value in assignment.items():
-            idx[self._axis(var)] = self._index_of(var, value)
-        block = self.probs[tuple(idx)]
-        return block.sum() if isinstance(block, np.ndarray) else block
+        n = self._block(assignment).sum()
+        return Fraction(n, self.den) if self.mode == "rational" else n
 
     def prob(self, assignment):
         if set(assignment) != set(self.variables):
@@ -128,43 +164,32 @@ class JointTable:
         if len(set(keep)) != len(keep):
             raise UnknownVariableError("duplicate variable in marginal request")
         drop = tuple(i for i, (name, _) in enumerate(self.schema) if name not in keep)
-        probs = self.probs.sum(axis=drop) if drop else self.probs
+        num = self.num.sum(axis=drop) if drop else self.num
         schema = tuple(entry for entry in self.schema if entry[0] in keep)
-        return JointTable(schema, probs, self.mode)
+        return JointTable(schema, num, self.mode, self.den)
 
     def condition(self, assignment):
         """Table over the remaining variables given the assignment."""
-        idx = [slice(None)] * len(self.schema)
-        for var, value in assignment.items():
-            idx[self._axis(var)] = self._index_of(var, value)
-        block = self.probs[tuple(idx)]
-        total = block.sum() if isinstance(block, np.ndarray) else block
+        block = self._block(assignment)
+        total = block.sum()
         if total == 0:
             raise ZeroMassError(f"conditioning event {assignment!r} has zero probability")
         schema = tuple(e for e in self.schema if e[0] not in assignment)
-        if not isinstance(block, np.ndarray):
-            probs = np.empty((), dtype=object)
-            probs[()] = Fraction(1) if self.mode == "rational" else 1.0
-            if self.mode == "float":
-                probs = probs.astype(np.float64)
-            return JointTable(schema, probs, self.mode)
-        return JointTable(schema, block / total, self.mode)
+        if self.mode == "rational":
+            return JointTable(schema, block, "rational", total)
+        return JointTable(schema, block / total, "float", 1)
 
     # -- conversions ---------------------------------------------------------
 
     def to_float(self):
         if self.mode == "float":
             return self
-        return JointTable(self.schema, self.probs.astype(np.float64), "float")
+        return JointTable(self.schema, self.num / self.den, "float")
 
     def to_json(self):
-        flat = []
-        for p in self.probs.flat:
-            if self.mode == "rational":
-                f = Fraction(p)
-                flat.append(f"{f.numerator}/{f.denominator}")
-            else:
-                flat.append(float(p))
+        rational = self.mode == "rational"
+        flat = [f"{p.numerator}/{p.denominator}" if rational else float(p)
+                for p in self.probs.flat]
         return {
             "schema": [[name, list(cats)] for name, cats in self.schema],
             "mode": self.mode,
@@ -185,30 +210,18 @@ class JointTable:
         n = int(np.prod(shape))
         if len(flat) != n:
             raise FormatError(f"expected {n} probabilities, got {len(flat)}")
-        if mode == "rational":
-            probs = np.empty(n, dtype=object)
-            for i, item in enumerate(flat):
-                probs[i] = parse_rational(item)
-        else:
-            probs = np.asarray([float(x) for x in flat], dtype=np.float64)
-        return JointTable(schema, probs.reshape(shape), mode)
+        parse = parse_rational if mode == "rational" else float
+        return make_table(schema, [parse(item) for item in flat], mode)
 
 
 def make_table(schema, probs, mode="rational"):
     """Build a validated JointTable from nested lists or an ndarray."""
     schema = _validate_schema(schema)
     shape = tuple(len(cats) for _, cats in schema)
-    if mode == "rational":
-        arr = np.empty(shape, dtype=object)
-        flat = arr.reshape(-1)
-        src = np.asarray(probs, dtype=object).reshape(-1)
-        if src.size != flat.size:
-            raise SchemaMismatchError("probability array does not match schema shape")
-        for i, p in enumerate(src):
-            flat[i] = Fraction(p)
-    else:
-        arr = np.asarray(probs, dtype=np.float64).reshape(shape)
-    return JointTable(schema, arr, mode)
+    arr = np.asarray(probs, dtype=object if mode == "rational" else np.float64)
+    if arr.size != math.prod(shape):
+        raise SchemaMismatchError("probability array does not match schema shape")
+    return JointTable(schema, arr.reshape(shape), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +265,9 @@ def load_counts(source, schema=None):
         key = tuple(v.strip() for v in row[:-1])
         raw = row[-1].strip()
         if value_kind == "count":
-            if not raw.isdigit():
+            if not (raw.isascii() and raw.isdigit()):
                 raise FormatError(f"line {lineno}: count must be a nonnegative integer, got {raw!r}")
-            value = Fraction(int(raw))
+            value = int(raw)
         else:
             value = parse_rational(raw)
             if value < 0:
@@ -283,20 +296,19 @@ def load_counts(source, schema=None):
         schema = tuple((v, tuple(seen_cats[v])) for v in varnames)
         _validate_schema(schema)
 
-    total = sum(cells.values())
-    if total == 0:
-        raise EmptyDataError("all cells are zero")
-    if value_kind == "prob" and abs(total - 1) > Fraction(1, 10**6):
-        raise FormatError(f"prob column sums to {float(total)!r}; expected 1")
-
-    shape = tuple(len(cats) for _, cats in schema)
-    probs = np.zeros(shape, dtype=object)
-    probs[...] = Fraction(0)
+    # counts are the numerators; probabilities go over their LCM
+    scale = math.lcm(*(value.denominator for value in cells.values()))
+    num = np.zeros(tuple(len(cats) for _, cats in schema), dtype=object)
     lookup = [dict((c, i) for i, c in enumerate(cats)) for _, cats in schema]
     for key, value in cells.items():
         idx = tuple(lookup[d][cat] for d, cat in enumerate(key))
-        probs[idx] = value / total
-    return JointTable(schema, probs, "rational")
+        num[idx] = value.numerator * (scale // value.denominator)
+    total = num.sum()
+    if total == 0:
+        raise EmptyDataError("all cells are zero")
+    if value_kind == "prob" and abs(total - scale) * 10**6 > scale:
+        raise FormatError(f"prob column sums to {total / scale!r}; expected 1")
+    return JointTable(schema, num, "rational", total)
 
 
 # ---------------------------------------------------------------------------
@@ -316,62 +328,7 @@ def _check_pair(table, x, y):
 
 def _y_table(table, y, masses):
     cats = table.categories(y)
-    if table.mode == "rational":
-        probs = np.array([Fraction(masses[c]) for c in cats], dtype=object)
-    else:
-        probs = np.asarray([float(masses[c]) for c in cats], dtype=np.float64)
-    return JointTable(((y, cats),), probs, table.mode)
-
-
-def intervene_truncated(table, g, x, y):
-    """Interventional distribution of y under set(x) by truncated factorization.
-
-    The diagram's vertices must be exactly the table's variables.  Each
-    factor f(v | parents) is evaluated in topological order; a 0/0
-    conditional on a branch that still has positive interventional mass
-    raises ZeroConditionalError instead of being imputed.
-    """
-    xvar, xval = _check_pair(table, x, y)
-    if set(g.vertices) != set(table.variables):
-        raise SchemaMismatchError("diagram vertices and table variables differ")
-    if g.bidirected:
-        raise SchemaMismatchError("truncated factorization needs a fully observed DAG")
-
-    order = []
-    remaining = set(g.vertices)
-    while remaining:
-        free = sorted(v for v in remaining if not (g.parents(v) & remaining))
-        order.extend(free)
-        remaining -= set(free)
-
-    families = {}
-    for v in g.vertices:
-        pa = tuple(sorted(g.parents(v)))
-        families[v] = (pa, table.marginal([u for u in table.variables if u in (v,) + pa]))
-
-    zero = Fraction(0) if table.mode == "rational" else 0.0
-    masses = {c: zero for c in table.categories(y)}
-    other = [v for v in table.variables if v != xvar]
-    domains = [table.categories(v) for v in other]
-    for combo in itertools.product(*domains):
-        cell = dict(zip(other, combo))
-        cell[xvar] = xval
-        weight = Fraction(1) if table.mode == "rational" else 1.0
-        for v in order:
-            if v == xvar:
-                continue
-            pa, fam = families[v]
-            pa_assign = {u: cell[u] for u in pa}
-            denom = fam.mass(pa_assign)
-            if denom == 0:
-                raise ZeroConditionalError(
-                    f"f({v}|{pa_assign}) is 0/0 on a branch reachable under set({xvar}={xval})"
-                )
-            weight = weight * fam.mass({v: cell[v], **pa_assign}) / denom
-            if weight == 0:
-                break
-        masses[cell[y]] += weight
-    return _y_table(table, y, masses)
+    return JointTable(((y, cats),), [masses[c] for c in cats], table.mode)
 
 
 def backdoor_adjust(table, x, y, zvars):

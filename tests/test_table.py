@@ -14,11 +14,11 @@ from causalprox import (
     backdoor_adjust,
     build_diagram,
     frontdoor_adjust,
-    intervene_truncated,
     load_counts,
     make_table,
 )
 from causalprox.fixtures import education_table, education_table_csv
+from table_oracle import intervene_truncated
 
 F = Fraction
 
