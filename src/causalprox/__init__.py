@@ -12,7 +12,7 @@ Three layers:
 - partial identification (`bounds`, `lp`): exact LP bounds on
   interventional probabilities from proxy response types when the
   point-identification assumptions fail, cross-certified closed forms,
-  and a rational simplex/vertex-enumeration backend.
+  and an exact rational simplex backend.
 
 The `causalprox` command line fronts all of it; `fixtures` carries the
 shared worked example.
@@ -95,12 +95,8 @@ from .graph import (
 from .lp import (
     LinearProgram,
     LPResult,
-    enumerate_vertices,
     make_program,
-    program_from_json,
-    program_to_json,
     solve,
-    vertex_optimum,
 )
 from .synth import (
     LatentModelSpec,

@@ -18,13 +18,14 @@ joint reading while the program constraints require the conditional one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import FormatError, InfeasibleError, SpecError, ZeroMassError
-from .lp import LinearProgram, make_program, phase1, phase2
+from .lp import LinearProgram, phase1, phase2
 from .ratio import parse_rational
 from .table import JointTable
 
@@ -119,20 +120,16 @@ def cells_from_table(
                 f"{len(table.categories(var))} categories"
             )
     margin = table.marginal([t_var, s_var, x_var])
-    x_cats = table.categories(x_var)
-    t_cats = table.categories(t_var)
-    s_cats = table.categories(s_var)
-    x_dist = tuple(margin.mass({x_var: c}) for c in x_cats)
+    axes = [margin.variables.index(v) for v in (t_var, s_var, x_var)]
+    num = margin.num.transpose(axes).tolist()  # integer numerators, [t][s][x]
+    arms = [sum(num[i][j][k] for i in (0, 1) for j in (0, 1)) for k in (0, 1)]
+    x_dist = tuple(Fraction(n, margin.den) for n in arms)
     cond = {}
-    for k, x_cat in enumerate(x_cats):
-        if x_dist[k] == 0:
+    for k, x_cat in enumerate(table.categories(x_var)):
+        if arms[k] == 0:
             raise ZeroMassError(f"treatment arm {x_cat!r} has zero mass")
-        for i, t_cat in enumerate(t_cats):
-            for j, s_cat in enumerate(s_cats):
-                cond[(i, j, k)] = (
-                    margin.mass({t_var: t_cat, s_var: s_cat, x_var: x_cat})
-                    / x_dist[k]
-                )
+        for i, j in itertools.product((0, 1), (0, 1)):
+            cond[(i, j, k)] = Fraction(num[i][j][k], arms[k])
     return ObservedCells(cond=cond, x_dist=x_dist, names=(t_var, s_var, x_var))
 
 
@@ -181,7 +178,7 @@ class CounterfactualProgram:
     cells: ObservedCells
 
     def lp(self, sense: str) -> LinearProgram:
-        return make_program(
+        return LinearProgram(
             n=len(self.variables),
             equalities=self.equalities,
             objective=self.objective,
@@ -196,6 +193,54 @@ def stratum_equation_indices(t: int, s: int, x: int, indices=ALL_INDICES):
     )
 
 
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+
+
+@functools.cache
+def _constraints(monotone: bool, drop_proxy: Optional[str]) -> tuple:
+    """(variables, coefficient rows, right-hand-side cells) of one shape.
+
+    Row 0 is the normalization, whose right-hand side is 1.  Row r > 0 has
+    the cell a + the cell b on its right-hand side, for (a, b) = cells[r - 1];
+    b is None on a two-proxy row.
+    """
+    variables = MONOTONE_INDICES if monotone else ALL_INDICES
+
+    def row_for(index_set):
+        chosen = set(index_set)
+        return tuple(_ONE if v in chosen else _ZERO for v in variables)
+
+    rows = [tuple([_ONE] * len(variables))]
+    cells = []
+    for k in (1, 0):  # arm x1 first, matching the order the equations are stated
+        if drop_proxy is None:
+            for t, s in itertools.product((0, 1), (0, 1)):
+                rows.append(row_for(stratum_equation_indices(t, s, k, variables)))
+                cells.append(((t, s, k), None))
+            continue
+        # single proxy: one equation per value v of the kept proxy, summing
+        # the two cells of the dropped one
+        for v in (0, 1):
+            pair = tuple(
+                (v, other, k) if drop_proxy == "s" else (other, v, k)
+                for other in (0, 1)
+            )
+            matching = []
+            for t, s, _ in pair:
+                matching.extend(stratum_equation_indices(t, s, k, variables))
+            rows.append(row_for(matching))
+            cells.append(pair)
+    return variables, tuple(rows), tuple(cells)
+
+
+@functools.cache
+def _objective(monotone: bool, target: str) -> tuple:
+    variables = MONOTONE_INDICES if monotone else ALL_INDICES
+    wanted = set(target_indices(target, variables))
+    return tuple(_ONE if v in wanted else _ZERO for v in variables)
+
+
 def build_program(
     cells: ObservedCells,
     monotone: bool,
@@ -206,43 +251,22 @@ def build_program(
 
     drop_proxy="s" (or "t") marginalizes that proxy out of the constraints:
     only the four cells of the remaining proxy are imposed, which is the
-    single-proxy variant.
+    single-proxy variant.  The variables, coefficient rows and objective
+    depend only on (monotone, drop_proxy, target); they are built once and
+    every program of that shape shares the same Fraction tuples, so only
+    the right-hand sides are computed per call.
     """
     if drop_proxy not in (None, "s", "t"):
         raise FormatError(f"drop_proxy must be None, 's' or 't', got {drop_proxy!r}")
-    variables = MONOTONE_INDICES if monotone else ALL_INDICES
-    one = Fraction(1)
-    zero = Fraction(0)
-
-    def row_for(index_set):
-        chosen = set(index_set)
-        return tuple(one if v in chosen else zero for v in variables)
-
-    equalities = [(tuple([one] * len(variables)), one)]
-    for k in (1, 0):  # arm x1 first, matching the order the equations are stated
-        for t, s in itertools.product((0, 1), (0, 1)):
-            matching = stratum_equation_indices(t, s, k, variables)
-            rhs = cells.cond[(t, s, k)]
-            equalities.append((row_for(matching), rhs))
-    if drop_proxy is not None:
-        # replace the eight two-proxy equations with four marginal ones
-        marg = []
-        for k in (1, 0):
-            for v in (0, 1):
-                matching = []
-                rhs = Fraction(0)
-                for other in (0, 1):
-                    t, s = (v, other) if drop_proxy == "s" else (other, v)
-                    matching.extend(stratum_equation_indices(t, s, k, variables))
-                    rhs += cells.cond[(t, s, k)]
-                marg.append((row_for(matching), rhs))
-        equalities = equalities[:1] + marg
-    wanted = set(target_indices(target, variables))
-    objective = tuple(one if v in wanted else zero for v in variables)
+    variables, rows, rhs_cells = _constraints(bool(monotone), drop_proxy)
+    cond = cells.cond
+    rhs = [_ONE] + [
+        cond[a] if b is None else cond[a] + cond[b] for a, b in rhs_cells
+    ]
     return CounterfactualProgram(
         variables=variables,
-        equalities=tuple(equalities),
-        objective=objective,
+        equalities=tuple(zip(rows, rhs)),
+        objective=_objective(bool(monotone), target),
         target=target,
         monotone=monotone,
         dropped=drop_proxy,
@@ -296,6 +320,11 @@ def lp_bounds(prog: CounterfactualProgram) -> BoundsResult:
             + ("monotone " if prog.monotone else "")
             + "response-type model"
         )
+    return _bounds_from_start(prog, start)
+
+
+def _bounds_from_start(prog: CounterfactualProgram, start) -> BoundsResult:
+    """lp_bounds from a phase1() start of prog's constraints."""
     results = {}
     for sense in ("min", "max"):
         res = phase2(start, prog.objective, sense)
@@ -467,16 +496,18 @@ class CertificationReport:
 
 
 def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationReport:
-    """Run both bound computations and compare them exactly."""
-    lp_out = {}
-    status = "optimal"
-    for target in TARGETS:
-        prog = build_program(cells, monotone=monotone, target=target)
-        try:
-            lp_out[target] = lp_bounds(prog)
-        except InfeasibleError:
-            lp_out[target] = None
-            status = "infeasible"
+    """Run both bound computations and compare them exactly.
+
+    The two targets' programs differ only in the objective, so one phase 1
+    serves both; each lp entry equals lp_bounds of its program.
+    """
+    progs = [build_program(cells, monotone=monotone, target=t) for t in TARGETS]
+    start = phase1(progs[0].lp("min"))
+    lp_out = {
+        prog.target: None if start is None else _bounds_from_start(prog, start)
+        for prog in progs
+    }
+    status = "optimal" if start is not None else "infeasible"
     x0, x1 = closed_form_bounds(cells, convention="conditional")
     if not monotone:
         x0 = replace(x0, applicable=False)

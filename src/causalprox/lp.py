@@ -4,8 +4,7 @@ Problems are minimize/maximize c.x subject to A x = b, x >= 0, with every
 coefficient rational.  solve() runs a two-phase simplex under Bland's rule,
 so the answer is exact and deterministic; phase1() and phase2() are its two
 steps, and one feasible start serves several objectives.  Every returned
-value is a Fraction.  enumerate_vertices() brute-forces all basic feasible
-solutions, an independent optimality oracle for small instances.
+value is a Fraction.
 
 The tableau holds Python integers (fraction-free pivoting after Edmonds and
 Bareiss): each entry is det times the rational one, det > 0, and the pivot
@@ -17,22 +16,32 @@ the original columns by one positive number and the ratios of each ratio
 test by another, so every Bland choice and the result are those of the
 rational tableau.  Scaling rows separately would reweight the phase-1
 objective and could change the pivot path.
+
+The coefficient part of the phase-1 tableau (row_scale, the scaled rows and
+the artificial identity) depends only on A, so phase1() builds it once per
+matrix and reuses it for every program whose equality rows are the same
+tuple objects, as the bounds programs' rows are.  A call then only scales
+its right-hand sides, appends them and negates the rows whose b < 0.  The
+reused integers are the ones a fresh build gives, so the tableau, every
+Bland choice and the result do not change.  The cache is keyed by the ids
+of the rows and holds the rows themselves, so no id is reused while its
+entry lives; it keeps only tuples, which cannot change.  Pivots build new
+row lists, so a shared row is never written.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from typing import Optional
 
-from .errors import FormatError, SizeError
+from .errors import FormatError
 from .ratio import parse_rational
 
-MAX_VERTEX_VARIABLES = 64
-MAX_VERTEX_EQUALITIES = 12
-MAX_BASIS_SETS = 2_000_000
+#: phase-1 skeletons by (n, ids of the equality rows); oldest evicted first
+_SKELETONS: dict = {}
+_SKELETON_SLOTS = 16
 
 
 def _coerce(value) -> Fraction:
@@ -78,30 +87,6 @@ class LPResult:
     status: str  # optimal | infeasible | unbounded
     value: Optional[Fraction]
     witness: Optional[tuple]
-
-
-def program_to_json(lp: LinearProgram) -> dict:
-    return {
-        "n": lp.n,
-        "eq": [
-            {"a": [str(a) for a in row], "b": str(b)}
-            for row, b in lp.equalities
-        ],
-        "obj": [str(c) for c in lp.objective],
-        "sense": lp.sense,
-    }
-
-
-def program_from_json(payload: dict) -> LinearProgram:
-    try:
-        return make_program(
-            n=int(payload["n"]),
-            equalities=[(eq["a"], eq["b"]) for eq in payload["eq"]],
-            objective=payload["obj"],
-            sense=payload.get("sense", "min"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed program payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +153,34 @@ class _Tableau:
             self.pivot(best_r, entering)
 
 
+def _skeleton(n, rows):
+    """(rows, row_scale, integer rows, column sums) for coefficient rows.
+
+    Integer row r is row_scale * A[r] followed by the artificial unit
+    vector e_r; the column sums cover the first n entries.  The lists are
+    shared between calls and never written.
+    """
+    key = (n, *map(id, rows))
+    hit = _SKELETONS.get(key)
+    if hit is not None:
+        return hit
+    rows = tuple(rows)
+    coeffs = [[_coerce(a) for a in row] for row in rows]
+    m = len(rows)
+    row_scale = lcm(*{a.denominator for row in coeffs for a in row})
+    scaled = [
+        [a.numerator * (row_scale // a.denominator) for a in row] for row in coeffs
+    ]
+    colsum = [sum(col) for col in zip([0] * n, *scaled)]
+    ints = [row + [int(i == r) for i in range(m)] for r, row in enumerate(scaled)]
+    skeleton = (rows, row_scale, ints, colsum)
+    if all(type(row) is tuple for row in rows):
+        if len(_SKELETONS) >= _SKELETON_SLOTS:
+            del _SKELETONS[next(iter(_SKELETONS))]
+        _SKELETONS[key] = skeleton
+    return skeleton
+
+
 def phase1(lp: LinearProgram) -> Optional[_Tableau]:
     """Feasible start for lp (a basis of its rows), or None when infeasible.
 
@@ -176,21 +189,23 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
     """
     n = lp.n
     m = len(lp.equalities)
-    rows = [[_coerce(a) for a in row] + [_coerce(b)] for row, b in lp.equalities]
-    rows = [[-a for a in row] if row[-1] < 0 else row for row in rows]
+    _, row_scale, prefixes, colsum = _skeleton(n, [row for row, _ in lp.equalities])
+    rhs = [_coerce(b) for _, b in lp.equalities]
     # one scalar for every row, then one for every right-hand side
-    row_scale = lcm(*{a.denominator for row in rows for a in row[:-1]})
-    scale = lcm(*{(row[-1] * row_scale).denominator for row in rows})
-    ints = [
-        [a.numerator * (row_scale // a.denominator) for a in row[:-1]]
-        + [int(i == r) for i in range(m)]
-        + [int(row[-1] * row_scale * scale)]
-        for r, row in enumerate(rows)
-    ]
+    scale = lcm(*{(b * row_scale).denominator for b in rhs})
+    cost = [-c for c in colsum]
+    ints = []
+    for row, b in zip(prefixes, rhs):
+        v = b.numerator * (row_scale * scale // b.denominator)
+        if v < 0:
+            neg = [-a for a in row[:n]]
+            cost = [c - 2 * a for c, a in zip(cost, neg)]
+            row, v = neg + row[n:], -v
+        ints.append(row + [v])
 
-    # phase 1: artificial variable per row, minimize their sum
-    cost = [-sum(col) for col in zip([0] * (n + m + 1), *ints)]
-    cost[n:-1] = [0] * m  # an artificial's cost 1 less the 1 in its row
+    # phase 1: artificial variable per row, minimize their sum; an
+    # artificial's reduced cost is its cost 1 less the 1 in its row
+    cost += [0] * m + [-sum(row[-1] for row in ints)]
     tab = _Tableau(ints, [n + r for r in range(m)], 1, scale, cost)
     tab.optimize()
     if tab.cost[-1] != 0:
@@ -238,95 +253,3 @@ def solve(lp: LinearProgram) -> LPResult:
     if start is None:
         return LPResult(status="infeasible", value=None, witness=None)
     return phase2(start, lp.objective, lp.sense)
-
-
-# ---------------------------------------------------------------------------
-# Vertex enumeration (oracle)
-
-
-def _rref(matrix):
-    """In-place exact reduced row echelon form; returns pivot column list."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next(
-            (i for i in range(r, nrows) if matrix[i][c] != 0), None
-        )
-        if pivot_row is None:
-            continue
-        matrix[r], matrix[pivot_row] = matrix[pivot_row], matrix[r]
-        inv = 1 / matrix[r][c]
-        matrix[r] = [a * inv for a in matrix[r]]
-        for i in range(nrows):
-            if i != r and matrix[i][c] != 0:
-                factor = matrix[i][c]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def enumerate_vertices(equalities, n: int):
-    """All basic feasible solutions of {A x = b, x >= 0}, deduplicated.
-
-    Exhaustive over basis column subsets, so only suitable as a small-scale
-    oracle; SizeError beyond the documented limits.  Returns a sorted list
-    of Fraction tuples; empty when the system is infeasible.
-    """
-    if n > MAX_VERTEX_VARIABLES:
-        raise SizeError(f"vertex enumeration supports at most "
-                        f"{MAX_VERTEX_VARIABLES} variables, got {n}")
-    if len(equalities) > MAX_VERTEX_EQUALITIES:
-        raise SizeError(
-            f"vertex enumeration supports at most {MAX_VERTEX_EQUALITIES} "
-            f"equalities, got {len(equalities)}"
-        )
-    aug = [
-        [_coerce(a) for a in row] + [_coerce(b)] for row, b in equalities
-    ]
-    for row, _ in equalities:
-        if len(row) != n:
-            raise FormatError("equality row length does not match variable count")
-    pivots = _rref(aug)
-    if n in pivots:
-        return []  # 0 = 1 after elimination: no solutions at all
-    rank = len(pivots)
-    rows = [aug[r] for r in range(rank)]
-    if comb(n, rank) > MAX_BASIS_SETS:
-        raise SizeError(
-            f"vertex enumeration would scan {comb(n, rank)} basis sets; "
-            f"the supported maximum is {MAX_BASIS_SETS}"
-        )
-    seen = set()
-    for cols in itertools.combinations(range(n), rank):
-        square = [[rows[r][c] for c in cols] for r in range(rank)]
-        target = [rows[r][n] for r in range(rank)]
-        aug2 = [square[r] + [target[r]] for r in range(rank)]
-        piv2 = _rref(aug2)
-        if len(piv2) < rank or rank in piv2:
-            continue  # singular basis or inconsistent
-        values = [aug2[r][rank] for r in range(rank)]
-        if any(v < 0 for v in values):
-            continue
-        point = [Fraction(0)] * n
-        for c, v in zip(cols, values):
-            point[c] = v
-        seen.add(tuple(point))
-    return sorted(seen)
-
-
-def vertex_optimum(equalities, n, objective, sense="min"):
-    """Brute-force optimum over enumerated vertices; None when infeasible."""
-    verts = enumerate_vertices(equalities, n)
-    if not verts:
-        return None
-    obj = [_coerce(c) for c in objective]
-    pick = min if sense == "min" else max  # the first vertex among equals
-    return pick(
-        ((sum(c * x for c, x in zip(obj, v)), v) for v in verts),
-        key=lambda pair: pair[0],
-    )

@@ -6,13 +6,19 @@ from .errors import FormatError
 
 
 def parse_rational(text):
-    """Parse ``"p/q"`` or a decimal literal into an exact Fraction."""
+    """Parse ``"p/q"`` or a decimal literal into an exact Fraction.
+
+    Text must be ASCII: Fraction() alone would also read other scripts'
+    decimal digits, which the CSV count column already rejects.
+    """
     if isinstance(text, Fraction):
         return text
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
         raise FormatError(f"expected a rational string, got {type(text).__name__}")
+    if not text.isascii():
+        raise FormatError(f"not a rational number: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -17,6 +17,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from vertex_oracle import vertex_optimum
 
 from causalprox.bounds import (
     MONOTONE_INDICES,
@@ -37,7 +38,7 @@ from causalprox.eigenid import (
     solve_pencil,
 )
 from causalprox.graph import build_diagram, d_separated
-from causalprox.lp import make_program, solve, vertex_optimum
+from causalprox.lp import make_program, solve
 from causalprox.fixtures import (
     chain_diagram,
     education_design,

@@ -11,6 +11,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from vertex_oracle import vertex_optimum
 
 from causalprox.bounds import (
     ALL_INDICES,
@@ -38,7 +39,6 @@ from causalprox.errors import (
     ZeroMassError,
 )
 from causalprox.fixtures import education_table
-from causalprox.lp import vertex_optimum
 
 
 def worked_cells() -> ObservedCells:

@@ -23,12 +23,13 @@ from causalprox import (
     cross_moment_matrices,
     generate_latent_model,
     load_counts,
+    make_program,
     make_table,
     random_latent_spec,
 )
 from causalprox.cli import _auto_design, _observable_csv, main
 from causalprox.eigenid import stratum_assignments
-from causalprox.ratio import decimal_string
+from causalprox.ratio import decimal_string, parse_rational
 from table_oracle import FractionTable, cross_moments_per_entry
 
 BIG_PRIMES = (2**61 - 1, 2**64 + 13, 2**67 - 25, 2**89 - 1)
@@ -217,6 +218,24 @@ def test_unicode_digit_count_exits_as_usage_error(tmp_path, monkeypatch, capsys)
     code = main(["bounds", "u.csv", "--exposure", "X", "--proxies", "T,S"])
     assert code == 4
     assert "count must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_unicode_digit_rational_is_a_format_error():
+    with pytest.raises(FormatError, match="not a rational number"):
+        load_counts("A,prob\na0,\u0660.\u0665\na1,0.5\n")
+    with pytest.raises(FormatError, match="not a rational number"):
+        make_program(1, [(("\u0661",), "\u0661")], ("\u0661",))
+    assert parse_rational(" 1/2 ") == Fraction(1, 2)
+
+
+def test_unicode_digit_prob_exits_as_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "u.csv").write_text(
+        "X,T,S,prob\nx0,t0,s0,\u0660.\u0665\nx1,t0,s0,0.5\n", encoding="utf-8"
+    )
+    code = main(["bounds", "u.csv", "--exposure", "X", "--proxies", "T,S"])
+    assert code == 4
+    assert "not a rational number" in capsys.readouterr().err
 
 
 def test_public_surfaces_the_benchmark_reads():

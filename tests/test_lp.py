@@ -4,6 +4,12 @@ from fractions import Fraction
 
 import pytest
 from simplex_oracle import oracle_solve
+from vertex_oracle import (
+    enumerate_vertices,
+    program_from_json,
+    program_to_json,
+    vertex_optimum,
+)
 
 from causalprox import (
     FormatError,
@@ -11,12 +17,8 @@ from causalprox import (
     LinearProgram,
     ObservedCells,
     SizeError,
-    enumerate_vertices,
     make_program,
-    program_from_json,
-    program_to_json,
     solve,
-    vertex_optimum,
 )
 from causalprox.bounds import (
     ALL_INDICES,
