@@ -193,10 +193,6 @@ def stratum_equation_indices(t: int, s: int, x: int, indices=ALL_INDICES):
     )
 
 
-_ONE = Fraction(1)
-_ZERO = Fraction(0)
-
-
 @functools.cache
 def _constraints(monotone: bool, drop_proxy: Optional[str]) -> tuple:
     """(variables, coefficient rows, right-hand-side cells) of one shape.
@@ -209,9 +205,9 @@ def _constraints(monotone: bool, drop_proxy: Optional[str]) -> tuple:
 
     def row_for(index_set):
         chosen = set(index_set)
-        return tuple(_ONE if v in chosen else _ZERO for v in variables)
+        return tuple(int(v in chosen) for v in variables)
 
-    rows = [tuple([_ONE] * len(variables))]
+    rows = [(1,) * len(variables)]
     cells = []
     for k in (1, 0):  # arm x1 first, matching the order the equations are stated
         if drop_proxy is None:
@@ -238,7 +234,7 @@ def _constraints(monotone: bool, drop_proxy: Optional[str]) -> tuple:
 def _objective(monotone: bool, target: str) -> tuple:
     variables = MONOTONE_INDICES if monotone else ALL_INDICES
     wanted = set(target_indices(target, variables))
-    return tuple(_ONE if v in wanted else _ZERO for v in variables)
+    return tuple(int(v in wanted) for v in variables)
 
 
 def build_program(
@@ -252,15 +248,15 @@ def build_program(
     drop_proxy="s" (or "t") marginalizes that proxy out of the constraints:
     only the four cells of the remaining proxy are imposed, which is the
     single-proxy variant.  The variables, coefficient rows and objective
-    depend only on (monotone, drop_proxy, target); they are built once and
-    every program of that shape shares the same Fraction tuples, so only
-    the right-hand sides are computed per call.
+    depend only on (monotone, drop_proxy, target) and are built once, as
+    0/1 int tuples, so only the right-hand sides (Fractions) are computed
+    per call.
     """
     if drop_proxy not in (None, "s", "t"):
         raise FormatError(f"drop_proxy must be None, 's' or 't', got {drop_proxy!r}")
     variables, rows, rhs_cells = _constraints(bool(monotone), drop_proxy)
     cond = cells.cond
-    rhs = [_ONE] + [
+    rhs = [Fraction(1)] + [
         cond[a] if b is None else cond[a] + cond[b] for a, b in rhs_cells
     ]
     return CounterfactualProgram(

@@ -17,31 +17,23 @@ test by another, so every Bland choice and the result are those of the
 rational tableau.  Scaling rows separately would reweight the phase-1
 objective and could change the pivot path.
 
-The coefficient part of the phase-1 tableau (row_scale, the scaled rows and
-the artificial identity) depends only on A, so phase1() builds it once per
-matrix and reuses it for every program whose equality rows are the same
-tuple objects, as the bounds programs' rows are.  A call then only scales
-its right-hand sides, appends them and negates the rows whose b < 0.  The
-reused integers are the ones a fresh build gives, so the tableau, every
-Bland choice and the result do not change.  The cache is keyed by the ids
-of the rows and holds the rows themselves, so no id is reused while its
-entry lives; it keeps only tuples, which cannot change.  Pivots build new
-row lists, so a shared row is never written.
+The integer rows of A and the scaled objective are memoized by value, so
+any program whose rows or objective equal earlier ones reuses them.  The
+memoized integers are those a fresh build gives and are never written, so
+the tableau, every Bland choice and the result do not change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 from math import lcm
 from typing import Optional
 
 from .errors import FormatError
 from .ratio import parse_rational
-
-#: phase-1 skeletons by (n, ids of the equality rows); oldest evicted first
-_SKELETONS: dict = {}
-_SKELETON_SLOTS = 16
 
 
 def _coerce(value) -> Fraction:
@@ -153,32 +145,42 @@ class _Tableau:
             self.pivot(best_r, entering)
 
 
+def _memo(build, entries):
+    """build's value-keyed cache, or build itself unless every entry is a
+    Fraction, int, bool or str: a float, Decimal or NumPy number can equal,
+    and hash as, a cached rational, and an unhashable entry cannot be looked
+    up, so those are built afresh and _coerce raises its FormatError."""
+    exact = {Fraction, int, bool, str}.issuperset(map(type, entries))
+    return build if exact else build.__wrapped__
+
+
+@lru_cache(maxsize=16)
 def _skeleton(n, rows):
-    """(rows, row_scale, integer rows, column sums) for coefficient rows.
+    """(row_scale, integer rows, column sums) for a tuple of coefficient rows.
 
     Integer row r is row_scale * A[r] followed by the artificial unit
-    vector e_r; the column sums cover the first n entries.  The lists are
-    shared between calls and never written.
+    vector e_r; the column sums cover the first n entries.
     """
-    key = (n, *map(id, rows))
-    hit = _SKELETONS.get(key)
-    if hit is not None:
-        return hit
-    rows = tuple(rows)
     coeffs = [[_coerce(a) for a in row] for row in rows]
     m = len(rows)
     row_scale = lcm(*{a.denominator for row in coeffs for a in row})
     scaled = [
         [a.numerator * (row_scale // a.denominator) for a in row] for row in coeffs
     ]
-    colsum = [sum(col) for col in zip([0] * n, *scaled)]
-    ints = [row + [int(i == r) for i in range(m)] for r, row in enumerate(scaled)]
-    skeleton = (rows, row_scale, ints, colsum)
-    if all(type(row) is tuple for row in rows):
-        if len(_SKELETONS) >= _SKELETON_SLOTS:
-            del _SKELETONS[next(iter(_SKELETONS))]
-        _SKELETONS[key] = skeleton
-    return skeleton
+    colsum = tuple(sum(col) for col in zip([0] * n, *scaled))
+    ints = tuple(
+        (*row, *(int(i == r) for i in range(m))) for r, row in enumerate(scaled)
+    )
+    return row_scale, ints, colsum
+
+
+@lru_cache(maxsize=16)
+def _scaled_objective(objective, sense):
+    """(gamma, c): c is gamma * objective, negated for "max", in integers."""
+    sign = 1 if sense == "min" else -1
+    c = [_coerce(v) for v in objective]
+    gamma = lcm(*{v.denominator for v in c})
+    return gamma, tuple(sign * v.numerator * (gamma // v.denominator) for v in c)
 
 
 def phase1(lp: LinearProgram) -> Optional[_Tableau]:
@@ -189,7 +191,8 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
     """
     n = lp.n
     m = len(lp.equalities)
-    _, row_scale, prefixes, colsum = _skeleton(n, [row for row, _ in lp.equalities])
+    rows = tuple(tuple(row) for row, _ in lp.equalities)
+    row_scale, prefixes, colsum = _memo(_skeleton, chain.from_iterable(rows))(n, rows)
     rhs = [_coerce(b) for _, b in lp.equalities]
     # one scalar for every row, then one for every right-hand side
     scale = lcm(*{(b * row_scale).denominator for b in rhs})
@@ -200,8 +203,8 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
         if v < 0:
             neg = [-a for a in row[:n]]
             cost = [c - 2 * a for c, a in zip(cost, neg)]
-            row, v = neg + row[n:], -v
-        ints.append(row + [v])
+            row, v = (*neg, *row[n:]), -v
+        ints.append([*row, v])
 
     # phase 1: artificial variable per row, minimize their sum; an
     # artificial's reduced cost is its cost 1 less the 1 in its row
@@ -228,10 +231,8 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
 
 def phase2(start: _Tableau, objective, sense: str) -> LPResult:
     """Optimize objective in sense from a phase1() start, which stays unchanged."""
-    sign = 1 if sense == "min" else -1
-    c = [_coerce(v) for v in objective]
-    gamma = lcm(*{v.denominator for v in c})
-    c = [sign * v.numerator * (gamma // v.denominator) for v in c]
+    objective = tuple(objective)
+    gamma, c = _memo(_scaled_objective, objective)(objective, sense)
     cost = [start.det * cj for cj in c] + [0]
     for row, b in zip(start.rows, start.basis):
         if c[b]:
@@ -243,6 +244,7 @@ def phase2(start: _Tableau, objective, sense: str) -> LPResult:
     witness = [Fraction(0)] * len(objective)
     for row, b in zip(tab.rows, tab.basis):
         witness[b] = Fraction(row[-1], denom)
+    sign = 1 if sense == "min" else -1
     value = Fraction(-sign * tab.cost[-1], denom * gamma)
     return LPResult(status="optimal", value=value, witness=tuple(witness))
 

@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from vertex_oracle import vertex_optimum
+from vertex_oracle import enumerate_vertices, vertex_optimum
 
 from causalprox.bounds import (
     MONOTONE_INDICES,
@@ -200,7 +200,7 @@ def test_criterion_08_solver_matches_vertex_enumeration(capsys):
         for sense in ("min", "max"):
             res = solve(make_program(n=n, equalities=eqs, objective=obj,
                                      sense=sense))
-            vo = vertex_optimum(eqs, n, obj, sense)
+            vo = vertex_optimum(enumerate_vertices(eqs, n), obj, sense)
             if res.status == "optimal" and (vo is None or vo[0] != res.value):
                 disagreements += 1
             if res.status == "infeasible" and vo is not None:
@@ -215,8 +215,9 @@ def test_criterion_08_solver_matches_vertex_enumeration(capsys):
                                  drop_proxy=drop)
             res = lp_bounds(prog)
             n = len(prog.variables)
-            lo = vertex_optimum(prog.equalities, n, prog.objective, "min")
-            hi = vertex_optimum(prog.equalities, n, prog.objective, "max")
+            verts = enumerate_vertices(prog.equalities, n)
+            lo = vertex_optimum(verts, prog.objective, "min")
+            hi = vertex_optimum(verts, prog.objective, "max")
             if lo is None or hi is None or (lo[0], hi[0]) != (res.lower, res.upper):
                 disagreements += 1
             checked += 2

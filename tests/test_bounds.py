@@ -11,7 +11,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from vertex_oracle import vertex_optimum
+from vertex_oracle import enumerate_vertices, vertex_optimum
 
 from causalprox.bounds import (
     ALL_INDICES,
@@ -285,15 +285,16 @@ def test_worked_example_single_proxy_golden():
 
 def test_single_proxy_lp_matches_vertex_enumeration():
     cells = worked_cells()
-    for target in ("x0", "x1"):
-        prog = build_program(cells, monotone=True, target=target, drop_proxy="s")
+    progs = [
+        build_program(cells, monotone=True, target=target, drop_proxy="s")
+        for target in ("x0", "x1")
+    ]
+    assert progs[0].equalities == progs[1].equalities  # one polytope
+    verts = enumerate_vertices(progs[0].equalities, len(progs[0].variables))
+    for prog in progs:
         result = lp_bounds(prog)
-        lo = vertex_optimum(
-            prog.equalities, len(prog.variables), prog.objective, "min"
-        )
-        hi = vertex_optimum(
-            prog.equalities, len(prog.variables), prog.objective, "max"
-        )
+        lo = vertex_optimum(verts, prog.objective, "min")
+        hi = vertex_optimum(verts, prog.objective, "max")
         assert lo is not None and hi is not None
         assert (lo[0], hi[0]) == (result.lower, result.upper)
 

@@ -127,7 +127,7 @@ def test_solve_agrees_with_vertex_enumeration_randomized():
         for sense in ("min", "max"):
             lp = make_program(n=n, equalities=eqs, objective=obj, sense=sense)
             res = solve(lp)
-            vo = vertex_optimum(eqs, n, obj, sense)
+            vo = vertex_optimum(enumerate_vertices(eqs, n), obj, sense)
             statuses[res.status] += 1
             if res.status == "optimal":
                 assert vo is not None and vo[0] == res.value
@@ -178,6 +178,16 @@ def test_program_validation():
         make_program(n=2, equalities=[((1, 1), 1)], objective=(1, 0), sense="best")
     with pytest.raises(FormatError):
         make_program(n=2, equalities=[((1, 1), 1)], objective=(1,), sense="min")
+
+
+def test_inexact_entries_raise_format_error_whatever_is_cached():
+    """An unhashable entry, or a float equal to a rational just solved,
+    in a row or in the objective is rejected as on a first call."""
+    assert solve(LinearProgram(1, (((F(1),), 1),), (F(1),))).status == "optimal"
+    malformed = [(([1],), (1,)), ((1,), ([1],)), ((1.0,), (1,)), ((1,), (1.0,))]
+    for row, objective in malformed:
+        with pytest.raises(FormatError, match="expected an exact rational"):
+            solve(LinearProgram(1, ((row, 1),), objective))
 
 
 def test_program_json_round_trip():

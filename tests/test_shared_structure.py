@@ -1,9 +1,10 @@
 """Shared, data-independent structure in the bounds and LP layers.
 
 build_program builds each shape's variables, coefficient rows and
-objective once, lp.phase1 reuses the integer skeleton of a coefficient
-matrix it has seen, certify_against_lp runs one phase 1 for both targets
-and cells_from_table reads the marginal's numerators in one pass.  These
+objective once, lp.phase1 and lp.phase2 reuse the integer rows and scaled
+objective of any matrix and objective equal in value to one they have
+seen, certify_against_lp runs one phase 1 for both targets and
+cells_from_table reads the marginal's numerators in one pass.  These
 tests hold each of them to the per-call code it replaced
 (tests/bounds_oracle.py, tests/simplex_oracle.py) with ``==``, and check
 that no cell data survives from one call to the next.
@@ -20,6 +21,7 @@ from bounds_oracle import build_program_per_call, cells_per_mass
 from simplex_oracle import oracle_solve
 
 import causalprox.bounds as bounds_mod
+import causalprox.lp as lp_mod
 from causalprox import (
     InfeasibleError,
     JointTable,
@@ -89,8 +91,8 @@ def test_build_program_equals_per_call_oracle():
             prog = build_program(cells, monotone, target, drop_proxy=drop)
             assert prog == build_program_per_call(cells, monotone, target, drop_proxy=drop)
             entries = [a for row, _ in prog.equalities for a in row]
-            entries += [b for _, b in prog.equalities] + list(prog.objective)
-            assert all(type(v) is F for v in entries)
+            assert all(type(v) is int for v in entries + list(prog.objective))
+            assert all(type(b) is F for _, b in prog.equalities)
             for sense in ("min", "max"):
                 assert prog.lp(sense) == make_program(
                     len(prog.variables), prog.equalities, prog.objective, sense
@@ -134,8 +136,8 @@ def test_interleaved_cell_sets_leave_no_data_behind():
 
 def test_phase1_reuses_skeleton_for_new_right_hand_sides():
     """The same row tuples with fresh right-hand sides, negative ones
-    included, solve as the Fraction simplex does; list rows, which can
-    change between calls, are never served from the cache."""
+    included, solve as the Fraction simplex does; a list row is keyed by
+    its value at the call, so changing it between calls misses the cache."""
     rng = random.Random(804)
     for _ in range(30):
         n, m = rng.randint(2, 7), rng.randint(1, 4)
@@ -158,6 +160,33 @@ def test_phase1_reuses_skeleton_for_new_right_hand_sides():
         assert first == oracle_solve(lp)
         lists[0][:] = [F(1)] * n
         assert solve(lp) == oracle_solve(lp)
+
+
+def test_phase1_and_phase2_memoize_by_value():
+    """Rows and objectives equal in value but held in distinct objects, as
+    ints or as Fractions, solve as the Fraction simplex does and share one
+    skeleton, and one scaled objective per sense."""
+    rng = random.Random(807)
+    n, m = 6, 3
+    rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
+    obj = tuple(rng.randint(-3, 3) for _ in range(n))
+    point = [rng.randint(0, 3) for _ in range(n)]
+    rhs = [F(sum(a * x for a, x in zip(row, point))) for row in rows]
+    copies = [
+        (rows, obj),
+        ([tuple(list(row)) for row in rows], tuple(list(obj))),
+        ([tuple(F(a) for a in row) for row in rows], tuple(F(c) for c in obj)),
+    ]
+    lp_mod._skeleton.cache_clear()
+    lp_mod._scaled_objective.cache_clear()
+    for copy_rows, copy_obj in copies:
+        for sense in ("min", "max"):
+            lp = LinearProgram(n, tuple(zip(copy_rows, rhs)), copy_obj, sense)
+            assert solve(lp) == oracle_solve(lp)
+    skeletons = lp_mod._skeleton.cache_info()
+    assert (skeletons.misses, skeletons.hits, skeletons.currsize) == (1, 5, 1)
+    objectives = lp_mod._scaled_objective.cache_info()
+    assert (objectives.misses, objectives.hits, objectives.currsize) == (2, 4, 2)
 
 
 def test_certify_runs_one_phase1(monkeypatch):

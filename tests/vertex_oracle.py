@@ -1,10 +1,11 @@
 """Brute-force LP oracle and program serialization, kept for the test suite.
 
-These lived in causalprox.lp until only tests used them; the code below is
-unchanged.  enumerate_vertices() lists every basic feasible solution of
-{A x = b, x >= 0} by trying each basis column subset, and vertex_optimum()
-picks the best of them, an optimality check for the simplex on small
-instances that shares no code with it.  program_to_json() and
+These lived in causalprox.lp until only tests used them.  enumerate_vertices()
+lists every basic feasible solution of {A x = b, x >= 0} by trying each
+basis column subset, and vertex_optimum() picks the best of such a list,
+so every objective over one polytope shares one enumeration; together
+they are an optimality check for the simplex on small instances that
+shares no code with it.  program_to_json() and
 program_from_json() turn a LinearProgram into strings and back, so a
 failing program can be printed exactly.
 """
@@ -120,9 +121,8 @@ def enumerate_vertices(equalities, n: int):
     return sorted(seen)
 
 
-def vertex_optimum(equalities, n, objective, sense="min"):
-    """Brute-force optimum over enumerated vertices; None when infeasible."""
-    verts = enumerate_vertices(equalities, n)
+def vertex_optimum(verts, objective, sense="min"):
+    """Brute-force optimum over enumerate_vertices() output; None when empty."""
     if not verts:
         return None
     obj = [_coerce(c) for c in objective]
