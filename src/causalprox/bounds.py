@@ -26,7 +26,6 @@ from typing import Optional, Sequence
 
 from .errors import FormatError, InfeasibleError, SpecError, ZeroMassError
 from .lp import LinearProgram, phase1, phase2
-from .ratio import parse_rational
 from .table import JointTable
 
 TYPE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -30,11 +30,9 @@ from .eigenid import (
     DEFAULT_TOLERANCES,
     ProxyDesign,
     _effects_from_joint,
-    check_design,
     identify_joint,
 )
 from .graph import (
-    CausalDiagram,
     diagram_from_json,
     find_open_path,
     satisfies_backdoor,
@@ -49,7 +47,7 @@ EXIT_CRITERION = 2
 EXIT_IDENT = 3
 EXIT_USAGE = 4
 
-#: exception -> exit code, most specific first
+#: errors that exit 3; every other CausalProxError and OSError exits 4
 _IDENT_ERRORS = (
     err.IdentificationError,
     err.ZeroMassError,
@@ -57,19 +55,6 @@ _IDENT_ERRORS = (
     err.PositivityError,
     err.InfeasibleError,
     err.NoCriterionError,
-)
-_USAGE_ERRORS = (
-    err.FormatError,
-    err.SchemaMismatchError,
-    err.UnknownVariableError,
-    err.UnknownVertexError,
-    err.EmptyDataError,
-    err.DesignError,
-    err.PatternError,
-    err.PreconditionError,
-    err.CycleError,
-    err.SizeError,
-    err.SpecError,
 )
 
 #: semantic names for identification failure conditions, keyed by error code
@@ -95,26 +80,38 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _sha256_file(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _report(
+    args, inputs, parameters, outputs, diagnostics=(), status=EXIT_OK, lines=()
+) -> int:
+    """Emit the subcommand's report and return its exit status.
 
-
-def _digest_inputs(paths: dict) -> dict:
-    return {
-        name: {"path": str(path), "sha256": _sha256_file(path)}
-        for name, path in sorted(paths.items())
+    inputs maps names to input paths, which the report digests.  The JSON
+    goes to --out, or to stdout under --json; otherwise the summary lines
+    are printed.
+    """
+    report = {
+        "command": args.subcommand,
+        "inputs": {
+            name: {
+                "path": str(path),
+                "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
+            }
+            for name, path in sorted(inputs.items())
+        },
+        "parameters": parameters,
+        "outputs": outputs,
+        "diagnostics": diagnostics,
+        "exit_status": status,
     }
-
-
-def _emit(report: dict, args, summary_lines) -> None:
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     if args.json and not args.out:
         sys.stdout.write(text)
     else:
-        for line in summary_lines:
+        for line in lines:
             print(line)
+    return status
 
 
 def _split_csv_arg(raw: str, what: str, expect: int = 0):
@@ -143,23 +140,19 @@ def cmd_check(args) -> int:
     graph = diagram_from_json(_load_json(args.model))
     x, y = _split_csv_arg(args.pair, "--pair", expect=2)
     given = _split_csv_arg(args.set or "", "--set")
-    diagnostics = []
     if args.criterion == "dsep":
         failing = find_open_path(graph, x, y, given)
-        holds = failing is None
         outputs = {
             "criterion": "dsep",
             "x": x,
             "y": y,
             "given": sorted(given),
-            "holds": holds,
+            "holds": failing is None,
             "failing_path": list(failing) if failing else None,
         }
-        detail = ""
     else:
         fn = satisfies_backdoor if args.criterion == "backdoor" else satisfies_frontdoor
         report = fn(graph, x, y, given)
-        holds = report.holds
         outputs = {
             "criterion": report.criterion,
             "x": report.x,
@@ -172,28 +165,21 @@ def cmd_check(args) -> int:
             else None,
             "detail": report.detail,
         }
-        detail = report.detail
-    status = EXIT_OK if holds else EXIT_CRITERION
-    rep = {
-        "command": "check",
-        "inputs": _digest_inputs({"model": args.model}),
-        "parameters": {
-            "pair": [x, y],
-            "set": sorted(given),
-            "criterion": args.criterion,
-        },
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-        "exit_status": status,
-    }
+    holds = outputs["holds"]
     verdict = "holds" if holds else "does not hold"
     lines = [f"{args.criterion}({x} -> {y} | {sorted(given)}): {verdict}"]
-    if not holds and outputs.get("failing_path"):
+    if not holds and outputs["failing_path"]:
         lines.append(f"  open path: {' - '.join(outputs['failing_path'])}")
-    if detail:
-        lines.append(f"  {detail}")
-    _emit(rep, args, lines)
-    return status
+    if outputs.get("detail"):
+        lines.append(f"  {outputs['detail']}")
+    return _report(
+        args,
+        {"model": args.model},
+        {"pair": [x, y], "set": sorted(given), "criterion": args.criterion},
+        outputs,
+        status=EXIT_OK if holds else EXIT_CRITERION,
+        lines=lines,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,37 +206,29 @@ def cmd_identify(args) -> int:
     table = load_counts(Path(args.data))
     design = ProxyDesign.from_json(_load_json(args.design))
     graph = diagram_from_json(_load_json(args.model))
-    diagnostics = []
+    inputs = {"data": args.data, "design": args.design, "model": args.model}
+    parameters = {"pair": args.pair}
     try:
         recon = identify_joint(table, design, DEFAULT_TOLERANCES)
     except _IDENT_ERRORS as exc:
         code = getattr(exc, "code", None) or type(exc).__name__
         condition = _CONDITION_NAMES.get(code, "data-consistency")
-        rep = {
-            "command": "identify",
-            "inputs": _digest_inputs(
-                {"data": args.data, "design": args.design, "model": args.model}
-            ),
-            "parameters": {"pair": args.pair},
-            "outputs": {
-                "error": {
-                    "code": code,
-                    "failed_condition": condition,
-                    "message": str(exc),
-                }
-            },
-            "diagnostics": [],
-            "exit_status": EXIT_IDENT,
-        }
-        _emit(rep, args, [f"identification failed [{condition}]: {exc}"])
-        return EXIT_IDENT
+        error = {"code": code, "failed_condition": condition, "message": str(exc)}
+        return _report(
+            args,
+            inputs,
+            parameters,
+            {"error": error},
+            status=EXIT_IDENT,
+            lines=[f"identification failed [{condition}]: {exc}"],
+        )
 
+    diagnostics = []
     effects = {}
     exposure = None
     outcome = design.latent_name
     if args.pair:
-        a, b = _split_csv_arg(args.pair, "--pair", expect=2)
-        exposure, outcome = a, b
+        exposure, outcome = _split_csv_arg(args.pair, "--pair", expect=2)
     elif len(design.w_vars) == 1:
         exposure = design.w_vars[0]
     if exposure is None:
@@ -286,16 +264,6 @@ def cmd_identify(args) -> int:
         "exposure": exposure,
         "outcome": outcome if exposure else None,
     }
-    rep = {
-        "command": "identify",
-        "inputs": _digest_inputs(
-            {"data": args.data, "design": args.design, "model": args.model}
-        ),
-        "parameters": {"pair": args.pair},
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-        "exit_status": EXIT_OK,
-    }
     lines = []
     for f in recon.factors:
         stratum = dict(f.stratum)
@@ -311,8 +279,7 @@ def cmd_identify(args) -> int:
             f"f({outcome} | set({exposure}={category})) = {dist} "
             f"[{payload['criterion']}, adjustment {payload['adjustment']}]"
         )
-    _emit(rep, args, lines)
-    return EXIT_OK
+    return _report(args, inputs, parameters, outputs, diagnostics, lines=lines)
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +458,9 @@ def cmd_bounds(args) -> int:
                             f"upper {float(du):+.6g}"
                         )
 
-    rep = {
-        "command": "bounds",
-        "inputs": _digest_inputs({"data": args.data}),
-        "parameters": params,
-        "outputs": outputs,
-        "diagnostics": diagnostics,
-        "exit_status": status,
-    }
-    _emit(rep, args, lines)
-    return status
+    return _report(
+        args, {"data": args.data}, params, outputs, diagnostics, status, lines
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +535,10 @@ def cmd_simulate(args) -> int:
     csv_path = Path(f"{args.out_prefix}.csv")
     truth_path = Path(f"{args.out_prefix}.truth.json")
     csv_text = _observable_csv(observable)
+    margins = spec_margins(spec)
     sidecar = {
         "design": design.to_json(),
-        "margins": spec_margins(spec),
+        "margins": margins,
         "parameters": _spec_json(spec),
         "latent_joint": truth_joint.to_json(),
         "seed": args.seed,
@@ -592,31 +553,24 @@ def cmd_simulate(args) -> int:
         "csv": hashlib.sha256(csv_text.encode()).hexdigest(),
         "truth": hashlib.sha256(truth_text.encode()).hexdigest(),
     }
-    rep = {
-        "command": "simulate",
-        "inputs": {},
-        "parameters": {"k": args.k, "seed": args.seed, "strata": args.strata},
-        "outputs": {
-            "csv": str(csv_path),
-            "truth": str(truth_path),
-            "digests": digest,
-            "margins": spec_margins(spec),
-        },
-        "diagnostics": [],
-        "exit_status": EXIT_OK,
+    outputs = {
+        "csv": str(csv_path),
+        "truth": str(truth_path),
+        "digests": digest,
+        "margins": margins,
     }
-    margins = spec_margins(spec)
-    _emit(
-        rep,
+    return _report(
         args,
-        [
+        {},
+        {"k": args.k, "seed": args.seed, "strata": args.strata},
+        outputs,
+        lines=[
             f"wrote {csv_path} and {truth_path}",
             f"margins: prior gap >= {margins['prior_gap']:.4f}, anchor gap >= "
             f"{margins['anchor_gap']:.4f}, pencil sigma >= "
             f"{margins['pencil_sigma']:.2e}",
         ],
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -691,15 +645,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _IDENT_ERRORS as exc:
+    except (err.CausalProxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IDENT
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_IDENT if isinstance(exc, _IDENT_ERRORS) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -63,7 +63,6 @@ class Tolerances:
     prob: float = 1e-6
     diag: float = 1e-6
     order: float = 1e-6
-    recon: float = 1e-6
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -464,28 +463,25 @@ def _normalized_inverse(vectors: np.ndarray, what: str, tol: Tolerances):
         inv = np.linalg.inv(vectors)
     except np.linalg.LinAlgError as exc:
         raise PivotError(f"{what} eigenvector basis is singular") from exc
-    scale = float(np.abs(inv).max())
-    rows = []
-    normalizer = []
-    for i in range(inv.shape[0]):
-        pivot = inv[i, 0]
-        if abs(pivot) <= tol.pivot * max(1.0, scale):
-            raise PivotError(
-                f"{what} basis row {i} has a vanishing leading entry; the "
-                "unit-row normalization is undefined"
-            )
-        rows.append(inv[i] / pivot)
-        normalizer.append(1.0 / float(pivot))
-    return np.array(rows), tuple(normalizer)
+    pivots = inv[:, 0]
+    vanishing = np.abs(pivots) <= tol.pivot * max(1.0, float(np.abs(inv).max()))
+    if vanishing.any():
+        raise PivotError(
+            f"{what} basis row {int(np.argmax(vanishing))} has a vanishing "
+            "leading entry; the unit-row normalization is undefined"
+        )
+    return inv / pivots[:, None], tuple((1.0 / pivots).tolist())
 
 
-def _check_probability(values, what, tol: Tolerances):
-    out = []
-    for v in np.atleast_1d(np.asarray(values, dtype=float)).ravel():
-        if v < -tol.prob or v > 1 + tol.prob:
-            raise RangeError(f"recovered {what} entry {v:.6g} is outside [0, 1]")
-        out.append(min(1.0, max(0.0, float(v))))
-    return out
+def _check_probability(values, what, tol: Tolerances) -> np.ndarray:
+    """values clipped to [0, 1]; raises on the first entry, in C order,
+    more than tol.prob outside.  -0.0 and NaN clip to 0.0."""
+    values = np.asarray(values, dtype=float)
+    outside = (values < -tol.prob) | (values > 1 + tol.prob)
+    if outside.any():
+        v = float(values.flat[np.argmax(outside)])
+        raise RangeError(f"recovered {what} entry {v:.6g} is outside [0, 1]")
+    return np.where(values > 0.0, np.minimum(values, 1.0), 0.0)
 
 
 def recover_factors(
@@ -517,25 +513,20 @@ def recover_factors(
             f"{diag_residual:.3e}); left/right eigenvector pairing failed"
         )
     prior = _check_probability(diag, "prior", tol)
-    for i, m in enumerate(prior):
-        if m <= 0.0:
-            raise RangeError(f"recovered prior entry {i} vanishes")
+    if (prior <= 0.0).any():
+        raise RangeError(
+            f"recovered prior entry {int(np.argmax(prior <= 0.0))} vanishes"
+        )
     anchor = _check_probability(system.values, "anchor conditional", tol)
-    t_checked = np.array(
-        [_check_probability(row[1:], "t conditional", tol) for row in t_rows]
-    )
-    s_checked = np.array(
-        [_check_probability(row[1:], "s conditional", tol) for row in s_rows]
-    )
-    k = len(prior)
-    t_full = np.hstack([np.ones((k, 1)), t_checked])
-    s_full = np.hstack([np.ones((k, 1)), s_checked])
+    # the normalized rows start with 1.0; clip the conditionals after it
+    t_rows[:, 1:] = _check_probability(t_rows[:, 1:], "t conditional", tol)
+    s_rows[:, 1:] = _check_probability(s_rows[:, 1:], "s conditional", tol)
     return LatentFactors(
         stratum=tuple(stratum),
-        anchor=tuple(anchor),
-        prior=tuple(prior),
-        t_rows=t_full,
-        s_rows=s_full,
+        anchor=tuple(anchor.tolist()),
+        prior=tuple(prior.tolist()),
+        t_rows=t_rows,
+        s_rows=s_rows,
         t_normalizer=t_normalizer,
         s_normalizer=s_normalizer,
         diag_residual=diag_residual,

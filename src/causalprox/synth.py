@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .table import JointTable, make_table
+from .table import make_table
 
 DENOM = 10**4
 

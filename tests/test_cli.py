@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from causalprox import eigenid
+from causalprox import cli, eigenid
+from causalprox import errors as err
 from causalprox.bounds import MONOTONE_INDICES, cells_from_types
 from causalprox.cli import main
 from causalprox.eigenid import ProxyDesign
@@ -106,6 +107,39 @@ def test_usage_errors_exit_four():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 4
+
+
+def all_subclasses(cls) -> list:
+    found = []
+    for sub in cls.__subclasses__():
+        found += [sub] + all_subclasses(sub)
+    return found
+
+
+#: identification and feasibility failures; the subclasses of these exit 3 too
+IDENT_FAILURES = (
+    err.IdentificationError,
+    err.ZeroMassError,
+    err.ZeroConditionalError,
+    err.PositivityError,
+    err.InfeasibleError,
+    err.NoCriterionError,
+)
+
+
+def test_exit_code_follows_error_class(workdir, monkeypatch, capsys):
+    """Any causalprox error raised inside a subcommand exits 3 when it is an
+    identification or feasibility failure and 4 otherwise; OSError exits 4."""
+    classes = all_subclasses(err.CausalProxError)
+    assert set(IDENT_FAILURES) < set(classes)
+    for cls in [err.CausalProxError] + classes + [OSError]:
+        def raise_it(payload, cls=cls):
+            raise cls(f"raised {cls.__name__}")
+
+        monkeypatch.setattr(cli, "diagram_from_json", raise_it)
+        code = main(["check", "model.json", "--pair", "X,Y"])
+        assert code == (3 if issubclass(cls, IDENT_FAILURES) else 4), cls
+        assert capsys.readouterr().err == f"error: raised {cls.__name__}\n"
 
 
 def run_install_step(argv, env, cwd=None) -> subprocess.CompletedProcess:
