@@ -2,12 +2,13 @@
 
 Given an observable table over proxies S and T, an anchor W, and optional
 strata Z, the latent joint f(u, w, z) is recovered per stratum from two
-cross-moment matrices built over selected proxy events.  Their generalized
-eigenproblem has the anchor conditionals f(w|u, z) as eigenvalues; the
-eigenvector bases, fixed by a known-row normalization, yield the proxy
-emission rows and the latent prior.  Every algebraic step is checked
-against an explicit tolerance and fails with a coded error instead of
-returning a silently bad reconstruction.
+cross-moment matrices built over selected proxy events, all strata in one
+stacked pass.  Their generalized eigenproblem has the anchor conditionals
+f(w|u, z) as eigenvalues; the eigenvector bases, fixed by a known-row
+normalization, yield the proxy emission rows and the latent prior.  Every
+algebraic step is checked against an explicit tolerance; a failure raises
+the coded error of the first failing stratum's first failed check instead
+of returning a silently bad reconstruction.
 
 Eigenvalue order carries no category labels by itself.  When the latent
 prior is known to be strictly increasing, sorting the recovered prior
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
@@ -230,9 +231,9 @@ class StratumMatrices:
     AND anchor value w_values[a]) inside the stratum, index 0 meaning "no
     constraint", and total is the stratum's own numerator, so every
     moment is exactly counts / total.  In rational mode both hold Python
-    ints.  The pencil reads p_float and floats (indexed like counts), made
-    by int / int true division, which rounds correctly: each entry equals
-    float(Fraction) of the exact moment.
+    ints.  p_float and floats (indexed like counts), like the stacked pencil
+    input, are made by int / int true division, which rounds correctly:
+    each entry equals float(Fraction) of the exact moment.
     by_anchor maps every anchor value to its exact matrix, p is their sum
     (the anchor summed out) and q the matrix at the design's anchor
     value; their entries keep the table's arithmetic mode.
@@ -293,6 +294,34 @@ def _event_rows(table, vars_, select):
     ]
 
 
+def _moment_stack(table, design, stratum, z_vars):
+    """(counts, totals, w_values, anchor) of a stratum split by every combination
+    of z_vars: counts[j] and totals[j] are StratumMatrices.counts and .total of
+    the j-th in category order, read off numerators summed over the rest once."""
+    free = [v for v in table.variables if v not in stratum]
+    rest = [v for v in free if v not in z_vars]
+    block = table._block(stratum).transpose([free.index(v) for v in (*z_vars, *rest)])
+    nz = len(z_vars)
+    # one sum per stratum block, so float tables add in the per-stratum order
+    totals = [block[z].sum() for z in itertools.product(*map(range, block.shape[:nz]))]
+    totals = np.array(totals, block.dtype)
+    roles = design.s_vars + design.t_vars + design.w_vars
+    drop = tuple(nz + i for i, v in enumerate(rest) if v not in roles)
+    moments = block.sum(axis=drop) if drop else block
+    kept = [v for v in rest if v in roles]
+    moments = moments.transpose([*range(nz), *(nz + kept.index(v) for v in roles)])
+    sizes = [math.prod(len(table.categories(v)) for v in vars_)
+             for vars_ in (design.s_vars, design.t_vars)]
+    moments = moments.reshape(totals.size, *sizes, -1)
+    for axis in (1, 2):  # prepend the margins as row 0 and column 0
+        moments = np.concatenate([moments.sum(axis=axis, keepdims=True), moments], axis=axis)
+    rows = _event_rows(table, design.s_vars, design.s_select)
+    cols = _event_rows(table, design.t_vars, design.t_select)
+    w_values = tuple(itertools.product(*(table.categories(v) for v in design.w_vars)))
+    counts = moments[(slice(None), *np.ix_(rows, cols))]
+    return counts, totals, w_values, w_values.index(tuple(design.w_value))
+
+
 def cross_moment_matrices(
     table: JointTable,
     design: ProxyDesign,
@@ -301,41 +330,87 @@ def cross_moment_matrices(
     """Build the pencil matrices for one stratum, one per anchor value.
 
     Rows follow the s events, columns the t events, both prefixed by the
-    unconstrained event.  The stratum's numerators are summed over every
-    variable outside S, T and W once, then each matrix is read off by
-    fancy indexing.  Raises ZeroMassError when the stratum itself has no
-    mass.
+    unconstrained event.  Raises ZeroMassError when the stratum itself
+    has no mass.
     """
     stratum = dict(stratum or {})
-    block = table._block(stratum)
-    total = block.sum()
-    if total == 0:
+    if table._block(stratum).sum() == 0:
         raise ZeroMassError(f"stratum {stratum!r} has zero mass")
     # an anchor value outside the table raises the table's own error here
     table._block(dict(zip(design.w_vars, design.w_value)))
+    counts, totals, w_values, anchor = _moment_stack(table, design, stratum, ())
+    return StratumMatrices(tuple(sorted(stratum.items())), counts[0], totals[0], w_values, anchor)
 
-    roles = design.s_vars + design.t_vars + design.w_vars
-    rest = [v for v in table.variables if v not in stratum]
-    drop = tuple(i for i, v in enumerate(rest) if v not in roles)
-    kept = [v for v in rest if v in roles]
-    moments = block.sum(axis=drop) if drop else block
-    moments = moments.transpose([kept.index(v) for v in roles])
-    n_s = math.prod(len(table.categories(v)) for v in design.s_vars)
-    n_t = math.prod(len(table.categories(v)) for v in design.t_vars)
-    moments = moments.reshape(n_s, n_t, -1)
-    # prepend the margins as row 0 and column 0
-    moments = np.concatenate([moments.sum(axis=0, keepdims=True), moments], axis=0)
-    moments = np.concatenate([moments.sum(axis=1, keepdims=True), moments], axis=1)
-    rows = _event_rows(table, design.s_vars, design.s_select)
-    cols = _event_rows(table, design.t_vars, design.t_select)
-    w_values = tuple(itertools.product(*(table.categories(v) for v in design.w_vars)))
-    return StratumMatrices(
-        stratum=tuple(sorted(stratum.items())),
-        counts=moments[np.ix_(rows, cols)],
-        total=total,
-        w_values=w_values,
-        anchor=w_values.index(tuple(design.w_value)),
-    )
+
+# ---------------------------------------------------------------------------
+# Stacked stages: slot j of every (m, ...) array, PencilEigensystem and
+# LatentFactors fields included, is stratum j.  A failed check records the
+# slot's error (the first per slot wins), and LAPACK calls see the identity
+# in failed slots, so that no slot can fail a call for the others.
+
+
+class _Failures(list):
+    """The first error recorded for each slot of a stack, None while it passes;
+    raise_first raises the error of the first failed slot, in stratum order."""
+
+    def record(self, bad, make):
+        """Store make(j) for each slot j not failed yet with a true entry in bad[j]."""
+        if bad.ndim > 1:
+            if not bad.any():
+                return
+            bad = bad.reshape(len(bad), -1).any(axis=1)
+        for j, flagged in enumerate(bad.tolist()):
+            if flagged and self[j] is None:
+                self[j] = make(j)
+
+    def raise_first(self):
+        for error in filter(None, self):
+            raise error
+
+
+def _identity_where(stack, fail):
+    """stack, blocks of one slot per stratum, with failed strata's slots set to the identity."""
+    bad = [j + b for j, e in enumerate(fail) if e for b in range(0, len(stack), len(fail))]
+    if bad:
+        stack = stack.copy()
+        stack[bad] = np.eye(stack.shape[-1])
+    return stack
+
+
+def _inv(stack, fail):
+    """np.linalg.inv after _identity_where, and a mask of exactly singular slots (made I)."""
+    stack = _identity_where(stack, fail)
+    singular = np.zeros(len(stack), dtype=bool)
+    try:
+        return np.linalg.inv(stack), singular
+    except np.linalg.LinAlgError:
+        for i, matrix in enumerate(stack):
+            try:
+                np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        stack = np.where(singular[:, None, None], np.eye(stack.shape[-1]), stack)
+        return np.linalg.inv(stack), singular
+
+
+def _factor_inverses(s_rows, t_rows, fail):
+    """inv(s_rows) and inv(t_rows) of every slot, in one call."""
+    inv, singular = _inv(np.concatenate([s_rows, t_rows]), fail)
+    fail.record(singular.reshape(2, -1).any(axis=0),
+                lambda j: PivotError("recovered factor rows are singular"))
+    return inv[:len(s_rows)], inv[len(s_rows):]
+
+
+def _off_diagonal(mixed):
+    """|mixed - np.diag(np.diag(mixed))| per matrix, bit for bit for finite entries."""
+    off = np.abs(mixed)
+    off.reshape(off.shape[:-2] + (-1,))[..., ::off.shape[-1] + 1] = 0.0
+    return off
+
+
+def _scaled_columns(rows, scale):
+    """rows.T @ np.diag(scale) per slot, exactly (one nonzero term per entry), in C order."""
+    return np.multiply(rows.swapaxes(-1, -2), scale[..., None, :], order="C")
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +427,56 @@ class PencilEigensystem:
     residual: float
 
 
-def _check_invertible(matrix: np.ndarray, name: str, tol: Tolerances) -> None:
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    ratio = float(sigma[-1] / sigma[0]) if sigma[0] > 0 else 0.0
-    if ratio <= tol.singular:
-        raise SingularMatrixError(
+def _solve_pencils(p, q, tol, fail) -> PencilEigensystem:
+    """solve_pencil's checks, in its order, over (m, k, k) stacks.  P and Q
+    share one SVD call and the right and left pencils one solve."""
+    m = len(p)
+    pq = np.concatenate([p, q])
+    sigma = np.linalg.svd(pq, compute_uv=False)
+    ratio = np.divide(sigma[:, -1], sigma[:, 0], out=np.zeros(2 * m), where=sigma[:, 0] > 0)
+    for b, name in ((0, "P"), (m, "Q")):
+        fail.record(ratio[b:b + m] <= tol.singular, lambda j: SingularMatrixError(
             f"cross-moment matrix {name} is numerically singular "
-            f"(sigma_min/sigma_max = {ratio:.3e} <= {tol.singular:.3e})"
-        )
+            f"(sigma_min/sigma_max = {ratio[b + j]:.3e} <= {tol.singular:.3e})"))
+    pq = _identity_where(pq, fail)
+    p, q = pq[:m], pq[m:]
+    pencils = np.linalg.solve(np.concatenate([p, p.swapaxes(1, 2)]),
+                              np.concatenate([q, q.swapaxes(1, 2)]))
+    slots, cols = np.arange(m)[:, None], np.arange(p.shape[-1])[:, None]
+
+    def real_spectrum(matrices):
+        """Eigen-decompose the matrices; returns ascending (values, vectors)."""
+        values, vectors = np.linalg.eig(matrices)
+        imag = np.abs(values.imag)
+        fail.record(imag > tol.gap, lambda j: ComplexEigenvalueError(
+            f"pencil spectrum is not real (max |imag| = {imag[j].max():.3e})"))
+        order = np.argsort(values.real, axis=1, kind="stable")
+        return values.real[slots, order], vectors.real[slots[:, None], cols, order[:, None]]
+
+    values, right = real_spectrum(pencils[:m])
+    fail.record(values[:, 0] <= tol.gap, lambda j: NonPositiveEigenvalueError(
+        f"pencil eigenvalue {values[j, 0]:.3e} is not strictly positive"))
+    gaps = values[:, 1:] - values[:, :-1]
+    fail.record(gaps <= tol.gap, lambda j: DegenerateSpectrumError(
+        f"pencil eigenvalues are not separated (min gap = {gaps[j].min():.3e})"))
+    left_values, left = real_spectrum(pencils[m:])
+    fail.record(np.abs(left_values - values) > tol.gap, lambda j: DegenerateSpectrumError(
+        "left and right pencil spectra disagree beyond tolerance"))
+    # q - lambda_i p per slot and eigenvalue; its transposed view is the left
+    # pencil's.  The products see the layouts one (k, k) solve gives (right
+    # vectors strided, left ones contiguous), so BLAS rounds them alike.
+    shifted = q[:, None] - values[:, :, None, None] * p[:, None]
+    scale = np.abs(pq).max(axis=(1, 2))[:, None]
+    denom = np.maximum(1.0, scale[m:] + np.abs(values) * scale[:m])
+    r_res, l_res = (
+        np.abs(matrices @ vectors[..., None]).max(axis=(2, 3))
+        for matrices, vectors in ((shifted, right.swapaxes(1, 2)),
+                                  (shifted.swapaxes(2, 3), left.swapaxes(1, 2).copy()))
+    )
+    worst = (np.maximum(r_res, l_res) / denom).max(axis=1)
+    fail.record(worst > tol.residual, lambda j: DegenerateSpectrumError(
+        f"pencil eigenvector residual {worst[j]:.3e} exceeds tolerance"))
+    return PencilEigensystem(values, right, left, worst)
 
 
 def solve_pencil(
@@ -372,59 +489,14 @@ def solve_pencil(
     within tolerance.  Eigenvalues are returned ascending with matching
     right (columns) and left (columns, for the transposed pencil) vectors.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.shape != q.shape or p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DesignError("pencil matrices must be square and equal-shaped")
-    k = p.shape[0]
-    _check_invertible(p, "P", tol)
-    _check_invertible(q, "Q", tol)
-
-    def real_spectrum(a, b):
-        """Eigen-decompose solve(a, b); returns ascending (values, vectors)."""
-        values, vectors = np.linalg.eig(np.linalg.solve(a, b))
-        worst = float(np.abs(values.imag).max()) if k else 0.0
-        if worst > tol.gap:
-            raise ComplexEigenvalueError(
-                f"pencil spectrum is not real (max |imag| = {worst:.3e})"
-            )
-        values = values.real
-        order = np.argsort(values, kind="stable")
-        return values[order], vectors[:, order].real
-
-    values, right = real_spectrum(p, q)
-    if values[0] <= tol.gap:
-        raise NonPositiveEigenvalueError(
-            f"pencil eigenvalue {values[0]:.3e} is not strictly positive"
-        )
-    gaps = np.diff(values)
-    if k > 1 and float(gaps.min()) <= tol.gap:
-        raise DegenerateSpectrumError(
-            f"pencil eigenvalues are not separated (min gap = "
-            f"{float(gaps.min()):.3e})"
-        )
-    left_values, left = real_spectrum(p.T, q.T)
-    if float(np.abs(left_values - values).max()) > tol.gap:
-        raise DegenerateSpectrumError(
-            "left and right pencil spectra disagree beyond tolerance"
-        )
-
-    worst = 0.0
-    for i, lam in enumerate(values):
-        denom = max(1.0, float(np.abs(q).max()) + abs(lam) * float(np.abs(p).max()))
-        r_res = float(np.abs((q - lam * p) @ right[:, i]).max())
-        l_res = float(np.abs((q.T - lam * p.T) @ left[:, i]).max())
-        worst = max(worst, r_res / denom, l_res / denom)
-    if worst > tol.residual:
-        raise DegenerateSpectrumError(
-            f"pencil eigenvector residual {worst:.3e} exceeds tolerance"
-        )
-    return PencilEigensystem(
-        values=tuple(float(v) for v in values),
-        right=right,
-        left=left,
-        residual=worst,
-    )
+    fail = _Failures([None])
+    system = _solve_pencils(p[None], q[None], tol, fail)
+    fail.raise_first()
+    return PencilEigensystem(tuple(system.values[0].tolist()), system.right[0],
+                             system.left[0], float(system.residual[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -452,36 +524,69 @@ class LatentFactors:
     diag_residual: float
     eigen_residual: float
 
-
-def _normalized_inverse(vectors: np.ndarray, what: str, tol: Tolerances):
-    """Invert an eigenvector basis and rescale rows to leading entry 1.
-
-    Returns (rows, normalizer): rows is the rescaled inverse, normalizer
-    the diagonal of scale factors applied (one per row).
-    """
-    try:
-        inv = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError as exc:
-        raise PivotError(f"{what} eigenvector basis is singular") from exc
-    pivots = inv[:, 0]
-    vanishing = np.abs(pivots) <= tol.pivot * max(1.0, float(np.abs(inv).max()))
-    if vanishing.any():
-        raise PivotError(
-            f"{what} basis row {int(np.argmax(vanishing))} has a vanishing "
-            "leading entry; the unit-row normalization is undefined"
+    def slot(self, j, stratum):
+        """Slot j of stacked factors, in recover_factors' types."""
+        row = lambda values: tuple(values[j].tolist())  # noqa: E731
+        return LatentFactors(
+            stratum, row(self.anchor), row(self.prior), self.t_rows[j], self.s_rows[j],
+            row(self.t_normalizer), row(self.s_normalizer),
+            float(self.diag_residual[j]), float(self.eigen_residual[j]),
         )
-    return inv / pivots[:, None], tuple((1.0 / pivots).tolist())
 
 
-def _check_probability(values, what, tol: Tolerances) -> np.ndarray:
-    """values clipped to [0, 1]; raises on the first entry, in C order,
-    more than tol.prob outside.  -0.0 and NaN clip to 0.0."""
-    values = np.asarray(values, dtype=float)
-    outside = (values < -tol.prob) | (values > 1 + tol.prob)
-    if outside.any():
-        v = float(values.flat[np.argmax(outside)])
-        raise RangeError(f"recovered {what} entry {v:.6g} is outside [0, 1]")
-    return np.where(values > 0.0, np.minimum(values, 1.0), 0.0)
+def _check_probability(values, tol: Tolerances):
+    """(clipped to [0, 1], -0.0 and NaN to 0.0; mask of NaN or > tol.prob outside [0, 1])."""
+    outside = ~((-tol.prob <= values) & (values <= 1 + tol.prob))
+    return np.where(values > 0.0, np.minimum(values, 1.0), 0.0), outside
+
+
+def _range_error(fail, what, values, outside):
+    """Record a RangeError for each slot j with an outside entry, naming its first in C order."""
+    fail.record(outside, lambda j: RangeError(
+        f"recovered {what} entry {values[j].flat[np.argmax(outside[j])]:.6g} is outside [0, 1]"))
+
+
+def _recover_factor_stack(system, p, tol, fail) -> LatentFactors:
+    """recover_factors' checks, in its order, over stacked pencils; the t rows
+    and then the s rows come from one inverse of the right and left bases."""
+    m = len(p)
+    inv, singular = _inv(np.concatenate([system.right, system.left]), fail)
+    pivots = inv[:, :, 0]
+    bound = tol.pivot * np.maximum(1.0, np.abs(inv).max(axis=(1, 2)))
+    vanishing = np.abs(pivots) <= bound[:, None]
+    for b, what in ((0, "right"), (m, "left")):
+        fail.record(singular[b:b + m], lambda j: PivotError(
+            f"{what} eigenvector basis is singular"))
+        fail.record(vanishing[b:b + m], lambda j: PivotError(
+            f"{what} basis row {int(np.argmax(vanishing[b + j]))} has a vanishing "
+            "leading entry; the unit-row normalization is undefined"))
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed slots
+        rows, normalizer = inv / pivots[:, :, None], 1.0 / pivots
+    # p factors as s_rows.T @ diag(prior) @ t_rows, so conjugating by the
+    # inverses must leave a diagonal matrix
+    s_inv, t_inv = _factor_inverses(rows[m:], rows[:m], fail)
+    mixed = s_inv.swapaxes(1, 2) @ p @ t_inv
+    diag = np.diagonal(mixed, axis1=1, axis2=2)
+    diag_residual = _off_diagonal(mixed).max(axis=(1, 2)) / np.maximum(
+        1.0, np.abs(diag).max(axis=1))
+    fail.record(diag_residual > tol.diag, lambda j: NonDiagonalError(
+        f"prior recovery is not diagonal (off-diagonal residual "
+        f"{diag_residual[j]:.3e}); left/right eigenvector pairing failed"))
+    (prior, anchor), outside = _check_probability(
+        np.concatenate([diag, system.values]).reshape(2, m, -1), tol)
+    _range_error(fail, "prior", diag, outside[0])
+    vanish = prior <= 0.0
+    fail.record(vanish, lambda j: RangeError(
+        f"recovered prior entry {int(np.argmax(vanish[j]))} vanishes"))
+    _range_error(fail, "anchor conditional", system.values, outside[1])
+    # the normalized rows start with 1.0; clip the conditionals after it
+    clipped, outside = _check_probability(rows[..., 1:], tol)
+    for b, what in ((0, "t conditional"), (m, "s conditional")):
+        _range_error(fail, what, rows[b:b + m, :, 1:], outside[b:b + m])
+    rows[..., 1:] = clipped
+    rows = _identity_where(rows, fail)
+    return LatentFactors((), anchor, prior, rows[:m], rows[m:], normalizer[:m],
+                         normalizer[m:], diag_residual, system.residual)
 
 
 def recover_factors(
@@ -497,41 +602,49 @@ def recover_factors(
     those inverses must leave a diagonal matrix whose entries are the
     latent prior.
     """
-    p = np.asarray(p, dtype=float)
-    t_rows, t_normalizer = _normalized_inverse(system.right, "right", tol)
-    s_rows, s_normalizer = _normalized_inverse(system.left, "left", tol)
-    # p factors as s_rows.T @ diag(prior) @ t_rows, so conjugating by the
-    # inverses must leave a diagonal matrix
-    mixed = np.linalg.inv(s_rows).T @ p @ np.linalg.inv(t_rows)
-    diag = np.diag(mixed).copy()
-    off = mixed - np.diag(diag)
-    scale = max(1.0, float(np.abs(diag).max()))
-    diag_residual = float(np.abs(off).max()) / scale
-    if diag_residual > tol.diag:
-        raise NonDiagonalError(
-            f"prior recovery is not diagonal (off-diagonal residual "
-            f"{diag_residual:.3e}); left/right eigenvector pairing failed"
-        )
-    prior = _check_probability(diag, "prior", tol)
-    if (prior <= 0.0).any():
-        raise RangeError(
-            f"recovered prior entry {int(np.argmax(prior <= 0.0))} vanishes"
-        )
-    anchor = _check_probability(system.values, "anchor conditional", tol)
-    # the normalized rows start with 1.0; clip the conditionals after it
-    t_rows[:, 1:] = _check_probability(t_rows[:, 1:], "t conditional", tol)
-    s_rows[:, 1:] = _check_probability(s_rows[:, 1:], "s conditional", tol)
-    return LatentFactors(
-        stratum=tuple(stratum),
-        anchor=tuple(anchor.tolist()),
-        prior=tuple(prior.tolist()),
-        t_rows=t_rows,
-        s_rows=s_rows,
-        t_normalizer=t_normalizer,
-        s_normalizer=s_normalizer,
-        diag_residual=diag_residual,
-        eigen_residual=system.residual,
-    )
+    stack = PencilEigensystem(*(np.asarray(field, dtype=float)[None] for field in (
+        system.values, system.right, system.left, system.residual)))
+    fail = _Failures([None])
+    factors = _recover_factor_stack(stack, np.asarray(p, dtype=float)[None], tol, fail)
+    fail.raise_first()
+    return factors.slot(0, tuple(stratum))
+
+
+def _anchor_profiles(floats, factors, w_values, tol, fail):
+    """f(w'|u, z) for every anchor value and slot, given fixed factors and the
+    cross moments floats[j] (indexed like StratumMatrices.counts): deltas and
+    off-diagonal residuals by [slot][anchor value], and the max replay residual."""
+    s_inv, t_inv = _factor_inverses(factors.s_rows, factors.t_rows, fail)
+    q = floats.transpose(0, 3, 1, 2)
+    mixed = s_inv.swapaxes(1, 2)[:, None] @ q @ t_inv[:, None]
+    diag = np.diagonal(mixed, axis1=2, axis2=3)
+    scale = np.maximum(1.0, np.abs(factors.prior).max(axis=1))
+    off = _off_diagonal(mixed).max(axis=(2, 3)) / scale[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed slots
+        raw = diag / factors.prior[:, None]
+    deltas, outside = _check_probability(raw, tol)
+    for a, w in enumerate(w_values):
+        fail.record(off[:, a] > tol.diag, lambda j: NonDiagonalError(
+            f"anchor recovery for w={w!r} is not diagonal "
+            f"(off-diagonal residual {off[j, a]:.3e})"))
+        _range_error(fail, f"anchor conditional {w!r}", raw[:, a], outside[:, a])
+    replay = (_scaled_columns(factors.s_rows[:, None], factors.prior[:, None] * deltas)
+              @ factors.t_rows[:, None])
+    return deltas, off, np.abs(replay - q).max()
+
+
+def _recover_strata(table, design, strata, tol, fail):
+    """Cross moments, pencils and factors of the strata (dicts, in category
+    order), stacked in pencil order: (totals, floats, p, w_values, factors)."""
+    counts, totals, w_values, anchor = _moment_stack(table, design, {}, design.z_vars)
+    empty = totals == 0
+    if empty.any():
+        fail.record(empty, lambda j: ZeroMassError(f"stratum {strata[j]!r} has zero mass"))
+        totals = np.where(empty, 1, totals)
+    floats = np.asarray(counts / totals[:, None, None, None], dtype=float)
+    p = np.asarray(counts.sum(axis=3) / totals[:, None, None], dtype=float)
+    system = _solve_pencils(p, floats[..., anchor], tol, fail)
+    return totals, floats, p, w_values, _recover_factor_stack(system, p, tol, fail)
 
 
 # ---------------------------------------------------------------------------
@@ -555,45 +668,6 @@ class ReconstructedJoint:
     replay: dict
 
 
-def _anchor_profile(sm: StratumMatrices, factors: LatentFactors, tol: Tolerances):
-    """Recover f(w'|u, z) for every anchor value, given fixed factors.
-
-    Returns (w_values, delta matrix indexed [anchor value][latent i],
-    max off-diagonal residual, max replay residual over Q matrices).
-    """
-    w_values = list(sm.w_values)
-    s_inv_t = np.linalg.inv(factors.s_rows).T
-    t_inv = np.linalg.inv(factors.t_rows)
-    prior = np.array(factors.prior)
-    deltas = np.empty((len(w_values), len(prior)))
-    worst_off = 0.0
-    worst_replay = 0.0
-    for a, w_value in enumerate(w_values):
-        q = sm.floats[:, :, a]
-        mixed = s_inv_t @ q @ t_inv
-        diag = np.diag(mixed)
-        scale = max(1.0, float(np.abs(prior).max()))
-        off = float(np.abs(mixed - np.diag(diag)).max()) / scale
-        if off > tol.diag:
-            raise NonDiagonalError(
-                f"anchor recovery for w={w_value!r} is not diagonal "
-                f"(off-diagonal residual {off:.3e})"
-            )
-        worst_off = max(worst_off, off)
-        delta = diag / prior
-        deltas[a] = _check_probability(delta, f"anchor conditional {w_value!r}", tol)
-        replay = factors.s_rows.T @ np.diag(prior * deltas[a]) @ factors.t_rows
-        worst_replay = max(worst_replay, float(np.abs(replay - q).max()))
-    return w_values, deltas, worst_off, worst_replay
-
-
-def _recover_stratum(table, design, stratum, tol):
-    """Cross moments, pencil and factors for one stratum, in pencil order."""
-    sm = cross_moment_matrices(table, design, stratum)
-    system = solve_pencil(sm.p_float, sm.floats[:, :, sm.anchor], tol)
-    return sm, recover_factors(system, sm.p_float, tol, stratum=sm.stratum)
-
-
 def identify_joint(
     table: JointTable,
     design: ProxyDesign,
@@ -611,64 +685,32 @@ def identify_joint(
             "latent category order is declared unknown; the labeled joint is "
             "not identified (order-free bounds remain available)"
         )
-    k = design.k
-    w_axes = [table.categories(v) for v in design.w_vars]
-    z_axes = [table.categories(v) for v in design.z_vars]
-    latent_cats = design.latent_categories
-    schema = [(design.latent_name, latent_cats)]
-    schema += [(v, table.categories(v)) for v in design.w_vars]
-    schema += [(v, table.categories(v)) for v in design.z_vars]
-    shape = tuple(len(cats) for _, cats in schema)
-    probs = np.zeros(shape, dtype=float)
+    strata = stratum_assignments(design, table)
+    fail = _Failures([None] * len(strata))
+    totals, floats, p, w_values, raw = _recover_strata(table, design, strata, tol, fail)
 
-    factors_out = []
-    replay = {
-        "cross_moment": 0.0,
-        "anchor_diag": 0.0,
-        "anchor_total": 0.0,
-    }
-    for stratum in stratum_assignments(design, table):
-        sm, raw = _recover_stratum(table, design, stratum, tol)
+    pick = (np.arange(len(strata))[:, None], np.argsort(raw.prior, axis=1, kind="stable"))
+    factors = LatentFactors((), *(getattr(raw, name)[pick] for name in (
+        "anchor", "prior", "t_rows", "s_rows", "t_normalizer", "s_normalizer")),
+        raw.diag_residual, raw.eigen_residual)
+    gaps = factors.prior[:, 1:] - factors.prior[:, :-1]
+    fail.record(gaps <= tol.order, lambda j: OrderAmbiguityError(
+        f"latent prior entries are not separated in stratum "
+        f"{dict(sorted(strata[j].items())) or '{}'} (min gap {gaps[j].min():.3e}); the "
+        "increasing-prior labeling is ambiguous"))
+    p_gap = np.abs(_scaled_columns(factors.s_rows, factors.prior) @ factors.t_rows - p).max()
+    deltas, off, q_gap = _anchor_profiles(floats, factors, w_values, tol, fail)
+    fail.raise_first()
+    replay = {"cross_moment": float(max(0.0, p_gap, q_gap)),
+              "anchor_diag": float(max(0.0, off.max())),
+              "anchor_total": float(max(0.0, np.abs(deltas.sum(axis=1) - 1.0).max()))}
 
-        order = np.argsort(raw.prior, kind="stable")
-        sorted_prior = [raw.prior[i] for i in order]
-        gaps = [b - a for a, b in zip(sorted_prior, sorted_prior[1:])]
-        if gaps and min(gaps) <= tol.order:
-            raise OrderAmbiguityError(
-                f"latent prior entries are not separated in stratum "
-                f"{dict(sm.stratum) or '{}'} (min gap {min(gaps):.3e}); the "
-                "increasing-prior labeling is ambiguous"
-            )
-        factors = replace(
-            raw,
-            anchor=tuple(raw.anchor[i] for i in order),
-            prior=tuple(sorted_prior),
-            t_rows=raw.t_rows[order],
-            s_rows=raw.s_rows[order],
-            t_normalizer=tuple(raw.t_normalizer[i] for i in order),
-            s_normalizer=tuple(raw.s_normalizer[i] for i in order),
-        )
-        factors_out.append(factors)
-
-        p_replay = factors.s_rows.T @ np.diag(factors.prior) @ factors.t_rows
-        p_gap = float(np.abs(p_replay - sm.p_float).max())
-        w_values, deltas, off, q_gap = _anchor_profile(sm, factors, tol)
-        totals = deltas.sum(axis=0)
-        total_gap = float(np.abs(totals - 1.0).max())
-        replay["cross_moment"] = max(replay["cross_moment"], p_gap, q_gap)
-        replay["anchor_diag"] = max(replay["anchor_diag"], off)
-        replay["anchor_total"] = max(replay["anchor_total"], total_gap)
-
-        zmass = sm.total / table.den
-        z_index = tuple(
-            z_axes[n].index(dict(sm.stratum)[v])
-            for n, v in enumerate(design.z_vars)
-        )
-        for a, w_value in enumerate(w_values):
-            w_index = tuple(w_axes[n].index(val) for n, val in enumerate(w_value))
-            for i in range(k):
-                probs[(i,) + w_index + z_index] = deltas[a][i] * factors.prior[i] * zmass
-
+    schema = [(design.latent_name, design.latent_categories)]
+    schema += [(v, table.categories(v)) for v in design.w_vars + design.z_vars]
+    zmass = np.asarray(totals / table.den, dtype=float)
+    # weights[latent i][anchor value][slot], C-ordered so probs.sum() adds in table order
+    weights = (deltas * factors.prior[:, None, :]).T
+    probs = np.multiply(weights, zmass, order="C").reshape([len(c) for _, c in schema])
     total = float(probs.sum())
     if abs(total - 1.0) > tol.prob:
         raise RangeError(
@@ -676,12 +718,8 @@ def identify_joint(
             "inconsistent with a probability table"
         )
     probs /= total
-    return ReconstructedJoint(
-        table=make_table(schema, probs, "float"),
-        design=design,
-        factors=tuple(factors_out),
-        replay=replay,
-    )
+    factors = tuple(factors.slot(j, tuple(sorted(s.items()))) for j, s in enumerate(strata))
+    return ReconstructedJoint(make_table(schema, probs, "float"), design, factors, replay)
 
 
 # ---------------------------------------------------------------------------
@@ -823,32 +861,24 @@ def order_free_bounds(
     for var, val in zip(design.w_vars, x_value):
         if val not in table.categories(var):
             raise PatternError(f"{val!r} is not a category of {var!r}")
-    lower = 0.0
-    upper = 0.0
-    per_stratum = []
-    for stratum in stratum_assignments(design, table):
-        zmass = float(table.mass(stratum))
-        if zmass == 0.0:
-            raise ZeroMassError(f"stratum {stratum!r} has zero mass")
-        merged = dict(stratum)
-        merged.update(x)
-        x_cond = float(table.mass(merged)) / zmass
-        if x_cond <= 0.0:
-            raise PositivityError(
-                f"anchor value {x!r} has zero mass in stratum {stratum!r}"
-            )
-        sm, factors = _recover_stratum(table, design, stratum, tol)
-        if x_value == tuple(design.w_value):
-            deltas = np.array(factors.anchor)
-        else:
-            w_values, profile, _, _ = _anchor_profile(sm, factors, tol)
-            deltas = profile[w_values.index(x_value)]
-        posterior = deltas * np.array(factors.prior) / x_cond
-        lower += zmass * float(posterior.min())
-        upper += zmass * float(posterior.max())
-        per_stratum.append((sm.stratum, tuple(float(d) for d in deltas), factors.prior))
-    return OrderFreeBounds(
-        lower=min(1.0, max(0.0, lower)),
-        upper=min(1.0, max(0.0, upper)),
-        per_stratum=tuple(per_stratum),
-    )
+    strata = stratum_assignments(design, table)
+    fail = _Failures([None] * len(strata))
+    zmass = np.array([float(table.mass(s)) for s in strata])
+    fail.record(zmass == 0.0, lambda j: ZeroMassError(f"stratum {strata[j]!r} has zero mass"))
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-mass strata
+        x_cond = np.array([float(table.mass({**s, **x})) for s in strata]) / zmass
+    fail.record(x_cond <= 0.0, lambda j: PositivityError(
+        f"anchor value {x!r} has zero mass in stratum {strata[j]!r}"))
+    _, floats, _, w_values, factors = _recover_strata(table, design, strata, tol, fail)
+    deltas = factors.anchor if x_value == tuple(design.w_value) else _anchor_profiles(
+        floats, factors, w_values, tol, fail)[0][:, w_values.index(x_value)]
+    fail.raise_first()
+    posterior = deltas * factors.prior / x_cond[:, None]
+    lower = upper = 0.0
+    for z, low, high in zip(zmass.tolist(), posterior.min(axis=1).tolist(),
+                            posterior.max(axis=1).tolist()):
+        lower, upper = lower + z * low, upper + z * high
+    per_stratum = tuple((tuple(sorted(s.items())), tuple(d), tuple(u))
+                        for s, d, u in zip(strata, deltas.tolist(), factors.prior.tolist()))
+    clamp = lambda v: min(1.0, max(0.0, v))  # noqa: E731
+    return OrderFreeBounds(clamp(lower), clamp(upper), per_stratum)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprox import cli, eigenid
+from causalprox import cli, eigenid, generate_latent_model, random_latent_spec
 from causalprox import errors as err
 from causalprox.bounds import MONOTONE_INDICES, cells_from_types
 from causalprox.cli import main
@@ -283,17 +283,30 @@ def test_identify_worked_example_golden(workdir, capsys):
 
 def test_identify_recovers_each_stratum_once(workdir, monkeypatch):
     calls = []
-    real_solve_pencil = eigenid.solve_pencil
+    real_solve_pencils = eigenid._solve_pencils
 
-    def counting_solve_pencil(*args, **kwargs):
-        calls.append(1)
-        return real_solve_pencil(*args, **kwargs)
+    def counting_solve_pencils(p, *args, **kwargs):
+        calls.append(len(p))
+        return real_solve_pencils(p, *args, **kwargs)
 
-    monkeypatch.setattr(eigenid, "solve_pencil", counting_solve_pencil)
+    monkeypatch.setattr(eigenid, "_solve_pencils", counting_solve_pencils)
     assert main(["identify", "data.csv", "design.json", "model.json"]) == 0
-    table, design = education_table(), education_design()
-    assert len(calls) == len(eigenid.stratum_assignments(design, table))
+    # one stacked pass per run, one slot per stratum
+    assert calls == [1]
+    assert main(["simulate", "--k", "3", "--strata", "3", "--seed", "5",
+                 "--out-prefix", "sim"]) == 0
+    sidecar = json.loads(Path("sim.truth.json").read_text())
+    Path("sim_design.json").write_text(dump_json(sidecar["design"]))
+    stratified = build_diagram(
+        ["Z", "X", "U", "S", "T"],
+        directed=[("Z", "X"), ("Z", "U"), ("X", "U"), ("U", "S"), ("U", "T")],
+    )
+    Path("sim_model.json").write_text(dump_json(diagram_to_json(stratified)))
+    calls.clear()
+    assert main(["identify", "sim.csv", "sim_design.json", "sim_model.json"]) == 0
+    assert calls == [3]
 
+    table, design = education_table(), education_design()
     graph = chain_diagram()
     recon = eigenid.identify_joint(table, design)
     for category in table.categories("X"):
@@ -305,6 +318,25 @@ def test_identify_recovers_each_stratum_once(workdir, monkeypatch):
             alone.criterion, alone.adjustment
         )
         assert list(shared.distribution.probs) == list(alone.distribution.probs)
+
+
+def test_identify_joint_runs_eig_twice_whatever_the_strata(monkeypatch):
+    calls = []
+    linalg = eigenid.np.linalg
+    real_eig = linalg.eig
+
+    def counting_eig(matrices):
+        calls.append(len(matrices))
+        return real_eig(matrices)
+
+    monkeypatch.setattr(linalg, "eig", counting_eig)
+    for strata in (None, 2, 3, 4):
+        spec = random_latent_spec(random.Random(7), k=3, n_strata=strata)
+        _, observable = generate_latent_model(spec)
+        calls.clear()
+        eigenid.identify_joint(observable, cli._auto_design(spec))
+        # right then left spectrum, each over every stratum at once
+        assert calls == [spec.n_strata, spec.n_strata]
 
 
 def test_identify_searches_adjustment_set_once(workdir, monkeypatch):
