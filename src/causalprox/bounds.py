@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -71,19 +72,22 @@ class ObservedCells:
 
     def __post_init__(self):
         for k in (0, 1):
-            total = Fraction(0)
+            arm = []
             for i, j in itertools.product((0, 1), (0, 1)):
                 if (i, j, k) not in self.cond:
                     raise FormatError(f"missing cell ({i}, {j}, {k})")
                 v = self.cond[(i, j, k)]
                 if not isinstance(v, Fraction):
                     raise FormatError("cells must be exact rationals")
-                if v < 0:
+                if v.numerator < 0:
                     raise FormatError(f"cell ({i}, {j}, {k}) is negative")
-                total += v
-            if total != 1:
+                arm.append(v)
+            den = math.lcm(*(v.denominator for v in arm))
+            total = sum(v.numerator * (den // v.denominator) for v in arm)
+            if total != den:
                 raise FormatError(
-                    f"cells for arm {k} sum to {total}, expected exactly 1"
+                    f"cells for arm {k} sum to {Fraction(total, den)}, "
+                    "expected exactly 1"
                 )
         if len(self.cond) != 8:
             raise FormatError("exactly eight cells expected")

@@ -8,8 +8,8 @@ from .errors import FormatError
 def parse_rational(text):
     """Parse ``"p/q"`` or a decimal literal into an exact Fraction.
 
-    Text must be ASCII: Fraction() alone would also read other scripts'
-    decimal digits, which the CSV count column already rejects.
+    Text must be ASCII with no ``_``: Fraction() alone would also read other
+    scripts' digits and digit separators, which the count column rejects.
     """
     if isinstance(text, Fraction):
         return text
@@ -17,7 +17,7 @@ def parse_rational(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise FormatError(f"expected a rational string, got {type(text).__name__}")
-    if not text.isascii():
+    if not text.isascii() or "_" in text:
         raise FormatError(f"not a rational number: {text!r}")
     try:
         return Fraction(text.strip())
@@ -38,22 +38,18 @@ def decimal_string(value: Fraction) -> str:
     raises FormatError for non-terminating values rather than rounding.
     """
     value = Fraction(value)
-    den = value.denominator
-    twos = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    fives = 0
-    while den % 5 == 0:
-        den //= 5
+    num, den = value.as_integer_ratio()
+    twos = (den & -den).bit_length() - 1
+    fives, rest = 0, den >> twos
+    while rest % 5 == 0:
+        rest //= 5
         fives += 1
-    if den != 1:
+    if rest != 1:
         raise FormatError(
             f"{value} has no terminating decimal representation"
         )
     places = max(twos, fives)
-    scaled = value * 10**places
-    digits = scaled.numerator  # exact integer by construction
+    digits = num * 10**places // den  # exact: den divides 10**places
     sign = "-" if digits < 0 else ""
     digits = abs(digits)
     if places == 0:

@@ -11,7 +11,7 @@ recovery tests have numerical headroom.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .table import make_table
+from .table import JointTable, _validate_schema, over_lcm
 
 DENOM = 10**4
 
@@ -133,21 +133,22 @@ def generate_latent_model(spec: LatentModelSpec, mode: str = "rational"):
     if spec.z_name:
         schema.append((spec.z_name, spec.z_categories))
 
-    shape = tuple(len(cats) for _, cats in schema)
-    probs = np.empty(shape, dtype=object)
-    one = Fraction(1)
-    for idx in itertools.product(*(range(n) for n in shape)):
-        u, s, t, w = idx[:4]
-        z = idx[4] if spec.z_name else 0
-        mass = (
-            (spec.z_dist[z] if spec.z_name else one)
-            * spec.prior[z][u]
-            * spec.s_emission[z][u][s]
-            * spec.t_emission[z][u][t]
-            * spec.w_emission[z][u][w]
-        )
-        probs[idx] = Fraction(mass)
-    truth = make_table(schema, probs, "rational")
+    families = (
+        spec.z_dist or (Fraction(1),), spec.prior,
+        spec.s_emission, spec.t_emission, spec.w_emission,
+    )
+    (z, prior, s, t, w), dens = zip(*map(over_lcm, families))
+    # cells indexed (z, u, s, t, w); one broadcast product of numerators
+    num = (
+        z[:, None, None, None, None] * prior[:, :, None, None, None]
+        * s[:, :, :, None, None] * t[:, :, None, :, None] * w[:, :, None, None, :]
+    )
+    den = math.prod(dens)
+    # over the gcd-reduced denominator every numerator equals the one the
+    # LCM of the cells' reduced denominators gives
+    g = math.gcd(den, *num.flat)
+    num = np.moveaxis(num // g, 0, -1) if spec.z_name else (num // g)[0]
+    truth = JointTable(_validate_schema(schema), num, "rational", den // g)
     if mode == "float":
         truth = truth.to_float()
     elif mode != "rational":

@@ -21,6 +21,7 @@ import io
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,6 +39,8 @@ from .errors import (
 from .ratio import parse_rational
 
 MASS_TOL = Fraction(1, 10**12)
+# int() reads this many digits under any int_max_str_digits limit
+SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 def _validate_schema(schema, allow_empty=False):
@@ -58,6 +61,15 @@ def _validate_schema(schema, allow_empty=False):
             if not c or "," in c:
                 raise FormatError(f"bad category label {c!r} for {name!r}")
     return schema
+
+
+def over_lcm(values):
+    """(numerators shaped like values, the LCM of their denominators)."""
+    values = np.asarray(values, dtype=object)
+    fracs = [Fraction(p) for p in values.flat]
+    den = math.lcm(*(f.denominator for f in fracs))
+    num = [f.numerator * (den // f.denominator) for f in fracs]
+    return np.array(num, dtype=object).reshape(values.shape), den
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +95,7 @@ class JointTable:
         num = np.array(self.num, dtype=object if rational else np.float64)
         den = self.den
         if den is None and rational:
-            fracs = [Fraction(p) for p in num.flat]
-            den = math.lcm(*(f.denominator for f in fracs))
-            num = np.array(
-                [f.numerator * (den // f.denominator) for f in fracs], dtype=object
-            ).reshape(num.shape)
+            num, den = over_lcm(num)
         shape = tuple(len(cats) for _, cats in self.schema)
         if num.shape != shape:
             raise SchemaMismatchError(
@@ -232,10 +240,11 @@ def load_counts(source, schema=None):
     """Load a delimited cell table into a rational JointTable.
 
     ``source`` is CSV text or a path-like.  The header names the variables
-    followed by a final ``count`` (nonnegative integers) or ``prob``
-    (decimal or p/q strings) column.  Missing cells are zero; duplicate
-    cells are rejected.  With no explicit schema the category order is
-    first appearance per column.
+    followed by a final ``count`` (ASCII digits) or ``prob`` column; a prob
+    cell ``digits[.digits]`` is read as integers, any other (p/q, sign,
+    exponent) by parse_rational, and the column must sum to 1 within 1e-6.
+    Missing cells are zero; duplicate cells are rejected.  With no explicit
+    schema the category order is first appearance per column.
     """
     if isinstance(source, os.PathLike):
         text = os.fspath(source)
@@ -267,11 +276,18 @@ def load_counts(source, schema=None):
         if value_kind == "count":
             if not (raw.isascii() and raw.isdigit()):
                 raise FormatError(f"line {lineno}: count must be a nonnegative integer, got {raw!r}")
-            value = int(raw)
+            value = (int(raw), 1)
         else:
-            value = parse_rational(raw)
-            if value < 0:
-                raise FormatError(f"line {lineno}: negative probability {raw!r}")
+            whole, _, places = raw.partition(".")
+            digits = whole + places
+            if len(digits) <= SAFE_DIGITS and digits.isascii() and digits.isdigit():
+                n, d = int(digits), 10 ** len(places)
+                g = math.gcd(n, d)
+                value = (n // g, d // g)
+            else:
+                value = parse_rational(raw).as_integer_ratio()
+                if value[0] < 0:
+                    raise FormatError(f"line {lineno}: negative probability {raw!r}")
         if key in cells:
             raise FormatError(f"line {lineno}: duplicate cell {key!r}")
         cells[key] = value
@@ -297,12 +313,12 @@ def load_counts(source, schema=None):
         _validate_schema(schema)
 
     # counts are the numerators; probabilities go over their LCM
-    scale = math.lcm(*(value.denominator for value in cells.values()))
+    scale = math.lcm(*(d for _, d in cells.values()))
     num = np.zeros(tuple(len(cats) for _, cats in schema), dtype=object)
     lookup = [dict((c, i) for i, c in enumerate(cats)) for _, cats in schema]
-    for key, value in cells.items():
-        idx = tuple(lookup[d][cat] for d, cat in enumerate(key))
-        num[idx] = value.numerator * (scale // value.denominator)
+    for key, (n, d) in cells.items():
+        idx = tuple(lookup[axis][cat] for axis, cat in enumerate(key))
+        num[idx] = n * (scale // d)
     total = num.sum()
     if total == 0:
         raise EmptyDataError("all cells are zero")

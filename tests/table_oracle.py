@@ -2,22 +2,26 @@
 
 causalprox.table stores integer numerators over one denominator and
 causalprox.eigenid reads cross moments off them with array sums.  The
-code here does the same jobs the plain way, one Fraction per cell and
-one mass() call per matrix entry, so agreement with ``==`` is evidence
-that the integer form loses nothing.  intervene_truncated is the oracle
-for the back-door and front-door adjustment formulas.
+code here does the same jobs the plain way, one Fraction per cell, one
+mass() call per matrix entry, one parse_rational() per CSV prob cell and
+one Fraction product per decimal string, so agreement with ``==`` is
+evidence that the integer form loses nothing.  intervene_truncated is
+the oracle for the back-door and front-door adjustment formulas.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from causalprox.errors import (
+    FormatError,
     SchemaMismatchError,
     ZeroConditionalError,
     ZeroMassError,
 )
+from causalprox.ratio import parse_rational
 from causalprox.table import _check_pair, _y_table
 
 
@@ -69,6 +73,41 @@ class FractionTable:
             "mode": "rational",
             "probs": [f"{p.numerator}/{p.denominator}" for p in self.probs.flat],
         }
+
+
+def prob_column_per_cell(texts):
+    """(numerators, denominator) of a CSV prob column, one parse_rational
+    per cell: the cells over the LCM of their denominators, normalized
+    by their sum."""
+    values = [parse_rational(text.strip()) for text in texts]
+    scale = math.lcm(*(v.denominator for v in values))
+    num = [v.numerator * (scale // v.denominator) for v in values]
+    return num, sum(num)
+
+
+def decimal_string_by_division(value):
+    """Exact decimal text of a Fraction: strip the 2s and 5s from the
+    denominator one at a time, then scale by a Fraction multiplication."""
+    value = Fraction(value)
+    den = value.denominator
+    twos = 0
+    while den % 2 == 0:
+        den //= 2
+        twos += 1
+    fives = 0
+    while den % 5 == 0:
+        den //= 5
+        fives += 1
+    if den != 1:
+        raise FormatError(f"{value} has no terminating decimal representation")
+    places = max(twos, fives)
+    digits = (value * 10**places).numerator
+    sign = "-" if digits < 0 else ""
+    digits = abs(digits)
+    if places == 0:
+        return f"{sign}{digits}"
+    text = str(digits).rjust(places + 1, "0")
+    return f"{sign}{text[:-places]}.{text[-places:]}"
 
 
 def cross_moments_per_entry(table, design, stratum=None):

@@ -472,11 +472,13 @@ def test_observed_cells_validation():
     negative = dict(good)
     negative[(0, 0, 0)] += F(1, 10)
     negative[(0, 1, 0)] -= F(1, 10) + negative[(0, 1, 0)] + F(1, 100)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=r"^cell \(0, 1, 0\) is negative$"):
         ObservedCells(cond=negative)
     short_sum = dict(good)
     short_sum[(0, 0, 0)] -= F(1, 10)
-    with pytest.raises(FormatError, match="sum"):
+    with pytest.raises(
+        FormatError, match="^cells for arm 0 sum to 9/10, expected exactly 1$"
+    ):
         ObservedCells(cond=short_sum)
     extra = dict(good)
     extra[(2, 0, 0)] = F(0)

@@ -9,6 +9,7 @@ for bit the floats of the exact moments.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -30,7 +31,12 @@ from causalprox import (
 from causalprox.cli import _auto_design, _observable_csv, main
 from causalprox.eigenid import stratum_assignments
 from causalprox.ratio import decimal_string, parse_rational
-from table_oracle import FractionTable, cross_moments_per_entry
+from table_oracle import (
+    FractionTable,
+    cross_moments_per_entry,
+    decimal_string_by_division,
+    prob_column_per_cell,
+)
 
 BIG_PRIMES = (2**61 - 1, 2**64 + 13, 2**67 - 25, 2**89 - 1)
 
@@ -127,6 +133,106 @@ def test_load_counts_matches_per_cell_division():
             lines += [",".join(list(c) + [t]) for c, t in zip(cells, text)]
             table = load_counts("\n".join(lines) + "\n", schema=schema)
             assert_same_table(table, FractionTable(schema, want))
+
+
+def prob_spellings(rng, value):
+    """One spelling of an exact decimal that parse_rational reads as value."""
+    text = decimal_string(value)
+    if "." not in text:
+        text += "."  # "5." form
+    style = rng.randrange(7)
+    if style == 0:
+        text = "0" * rng.randint(1, 3) + text + "0" * rng.randint(0, 3)
+    elif style == 1 and text.startswith("0.") and text != "0.":
+        text = text[1:]  # ".5" form
+    elif style == 2:
+        text = "+" + text
+    elif style == 3:
+        whole, places = text.split(".")
+        text = f"{whole}{places}e-{len(places)}"
+    elif style == 4:
+        m = rng.randint(1, 3)
+        text = f"{value.numerator * m}/{value.denominator * m}"
+    elif style == 5:
+        text = f" {text} "
+    return f'"{text}"' if rng.random() < 0.2 else text  # quoted field
+
+
+def prob_csv(schema, texts):
+    lines = [",".join([name for name, _ in schema] + ["prob"])]
+    cells = itertools.product(*(cats for _, cats in schema))
+    lines += [",".join(list(c) + [t]) for c, t in zip(cells, texts)]
+    return "\n".join(lines) + "\n"
+
+
+def test_prob_column_matches_parse_rational_per_cell():
+    rng = random.Random(1616)
+    for _ in range(120):
+        schema = random_schema(rng, rng.randint(1, 3))
+        size = math.prod(len(cats) for _, cats in schema)
+        values = []
+        for _ in range(size - 1):
+            places = rng.randint(0, 25)
+            values.append(Fraction(rng.randint(0, 10**places // size), 10**places))
+        values.append(1 - sum(values))
+        texts = [prob_spellings(rng, v) for v in values]
+        table = load_counts(prob_csv(schema, texts), schema=schema)
+        num, den = prob_column_per_cell(t.strip('"') for t in texts)
+        assert table.schema == tuple(schema)
+        assert table.num.reshape(-1).tolist() == num and table.den == den
+        assert all(type(n) is int for n in table.num.flat)
+    # past the digits int() always reads, a decimal takes the Fraction path
+    long = "0.5" + "0" * 700
+    table = load_counts(f"A,prob\na0,{long}\na1,0.5\n")
+    assert (table.num.tolist(), table.den) == prob_column_per_cell([long, "0.5"])
+    # a sum off 1 by at most 10**-6 is normalized by the sum
+    table = load_counts("A,prob\na0,0.4999999\na1,0.5\n")
+    assert (table.num.tolist(), table.den) == ([4999999, 5000000], 9999999)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("\u0660.\u0665", "not a rational number"),
+        ("\uff10.\uff15", "not a rational number"),
+        ("\u00b2", "not a rational number"),
+        ("-0.5", "line 2: negative probability"),
+        ("1/0", "not a rational number"),
+        (".", "not a rational number"),
+        ("", "not a rational number"),
+        ("0.1_5", "not a rational number"),
+        ("1_0/2_0", "not a rational number"),
+        ("0.4", "prob column sums to"),
+    ],
+)
+def test_prob_column_errors(cell, message):
+    with pytest.raises(FormatError, match=message):
+        load_counts(f"A,prob\na0,{cell}\na1,0.5\n")
+    if message == "not a rational number":
+        with pytest.raises(FormatError, match=message):
+            parse_rational(cell)
+
+
+def test_digit_separators_are_rejected_in_every_column():
+    with pytest.raises(FormatError, match="count must be a nonnegative integer"):
+        load_counts("A,count\na0,1_0\na1,3\n")
+    with pytest.raises(FormatError, match="not a rational number"):
+        make_program(1, [(("1_0",), "1")], ("1",))
+
+
+def test_decimal_string_matches_division_oracle():
+    rng = random.Random(515)
+    for _ in range(2000):
+        den = 2 ** rng.randint(0, 70) * 5 ** rng.randint(0, 70)
+        value = Fraction(rng.choice((-1, 1)) * rng.randint(0, 3 * den), den)
+        assert decimal_string(value) == decimal_string_by_division(value)
+    assert decimal_string(7) == "7" and decimal_string("-1/8") == "-0.125"
+    for value in (Fraction(1, 3), Fraction(-7, 30), Fraction(1, 2**40 * 7)):
+        with pytest.raises(FormatError) as got:
+            decimal_string(value)
+        with pytest.raises(FormatError) as want:
+            decimal_string_by_division(value)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("k", range(2, 9))

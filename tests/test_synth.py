@@ -11,6 +11,7 @@ from causalprox import (
     spec_margins,
 )
 from causalprox.fixtures import education_model, education_table
+from synth_oracle import generate_latent_model_per_cell
 
 F = Fraction
 
@@ -58,6 +59,43 @@ def test_generate_latent_model_factorizes_exactly():
     for s in spec.s_categories:
         a = {spec.s_name: s}
         assert observable.mass(a) == remarg.mass(a)
+
+
+def assert_same_numerators(got, want):
+    assert got.schema == want.schema and got.mode == want.mode
+    assert got.den == want.den and type(got.den) is int
+    assert got.num.shape == want.num.shape
+    assert got.num.tolist() == want.num.tolist()
+    assert all(type(n) is int for n in got.num.flat)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_generator_matches_per_cell_oracle(k):
+    rng = random.Random(7100 + k)
+    for strata in (None, 2, 3, 4):
+        for _ in range(3):
+            spec = random_latent_spec(rng, k=k, n_strata=strata)
+            for got, want in zip(
+                generate_latent_model(spec), generate_latent_model_per_cell(spec)
+            ):
+                assert_same_numerators(got, want)
+            for got, want in zip(
+                generate_latent_model(spec, mode="float"),
+                generate_latent_model_per_cell(spec, mode="float"),
+            ):
+                assert got.schema == want.schema and got.mode == "float"
+                assert got.probs.dtype == want.probs.dtype
+                assert got.probs.tobytes() == want.probs.tobytes()
+
+
+def test_generator_matches_oracle_on_fixture_specs():
+    """Denominators 20, 10, 5, 15 and 55: the families' LCMs differ and
+    the product over them needs the gcd step."""
+    for got, want in zip(
+        generate_latent_model(education_model()),
+        generate_latent_model_per_cell(education_model()),
+    ):
+        assert_same_numerators(got, want)
 
 
 def test_generate_latent_model_float_mode():
@@ -145,3 +183,4 @@ def test_education_model_margins():
     m = spec_margins(education_model())
     assert m["prior_gap"] == pytest.approx(0.1, abs=1e-12)
     assert m["anchor_gap"] == pytest.approx(float(F(8, 15) - F(6, 55)), abs=1e-12)
+
