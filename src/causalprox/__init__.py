@@ -4,7 +4,7 @@ Three layers:
 
 - graphs and exact probability tables (`graph`, `table`): causal diagrams
   with latent confounding, d-separation, back-door/front-door criteria,
-  truncated-factorization interventions, adjustment formulas;
+  adjustment-set search, adjustment formulas, CSV loading;
 - spectral identification (`eigenid`, `synth`): recovery of the joint law
   of a k-category latent variable from two conditionally independent
   proxies plus an anchor, per stratum, via a matrix-pencil eigenproblem,

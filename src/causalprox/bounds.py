@@ -346,27 +346,37 @@ def _bounds_from_start(prog: CounterfactualProgram, start) -> BoundsResult:
     )
 
 
-def _clamp01(value: Fraction) -> Fraction:
-    return min(Fraction(1), max(Fraction(0), value))
+def _four_terms(cells: ObservedCells, convention: str) -> tuple:
+    """The four x0 upper and the four x1 lower candidate terms, verbatim."""
 
+    def p(i, j, k):
+        return cells.read(i, j, k, convention)
 
-def _upper_terms_x0(p):
-    """The four candidate upper bounds for the x0 target, verbatim."""
-    return (
+    upper_x0 = (
         p(0, 1, 0) + p(1, 0, 0) + p(1, 1, 0) + p(0, 0, 1),
         p(0, 1, 0) + p(1, 1, 0) + p(1, 0, 1) + p(0, 0, 1),
         p(1, 0, 0) + p(1, 1, 0) + p(0, 1, 1) + p(0, 0, 1),
         p(1, 1, 0) + p(0, 0, 1) + p(1, 0, 1) + p(0, 1, 1),
     )
-
-
-def _lower_terms_x1(p):
-    """The four candidate lower bounds for the x1 target, verbatim."""
-    return (
+    lower_x1 = (
         p(0, 0, 0) - p(0, 0, 1),
         p(1, 1, 1) - p(1, 1, 0),
         p(0, 0, 0) + p(1, 0, 0) - p(0, 0, 1) - p(1, 0, 1),
         p(0, 0, 0) + p(0, 1, 0) - p(0, 0, 1) - p(0, 1, 1),
+    )
+    return upper_x0, lower_x1
+
+
+def _result_pair(
+    method, convention, upper=Fraction(1), lower=Fraction(0),
+    terms=(None, None), applicable=True,
+):
+    """(x0 in [0, upper], x1 in [lower, 1]) with upper and lower clamped to [0, 1]."""
+    upper, lower = (min(Fraction(1), max(Fraction(0), v)) for v in (upper, lower))
+    common = {"method": method, "convention": convention, "applicable": applicable}
+    return (
+        BoundsResult("x0", Fraction(0), upper, terms=terms[0], **common),
+        BoundsResult("x1", lower, Fraction(1), terms=terms[1], **common),
     )
 
 
@@ -382,29 +392,11 @@ def closed_form_bounds(
     or "joint-compat" (cells multiplied by the arm probability, matching
     the worked numbers these formulas are traditionally checked against).
     """
-
-    def p(i, j, k):
-        return cells.read(i, j, k, convention)
-
-    upper_terms = _upper_terms_x0(p)
-    lower_terms = _lower_terms_x1(p)
-    x0 = BoundsResult(
-        target="x0",
-        lower=Fraction(0),
-        upper=_clamp01(min(upper_terms)),
-        method="closed-form",
-        terms=upper_terms,
-        convention=convention,
+    upper_terms, lower_terms = _four_terms(cells, convention)
+    return _result_pair(
+        "closed-form", convention, min(upper_terms), max(lower_terms),
+        (upper_terms, lower_terms),
     )
-    x1 = BoundsResult(
-        target="x1",
-        lower=_clamp01(max(lower_terms)),
-        upper=Fraction(1),
-        method="closed-form",
-        terms=lower_terms,
-        convention=convention,
-    )
-    return x0, x1
 
 
 def stratified_bounds(
@@ -432,44 +424,16 @@ def stratified_bounds(
     if sum(weights) != 1:
         raise FormatError("stratum weights must sum to exactly 1")
     if not monotone:
-        x0 = BoundsResult(
-            target="x0", lower=Fraction(0), upper=Fraction(1),
-            method="stratified", convention=convention, applicable=False,
-        )
-        x1 = BoundsResult(
-            target="x1", lower=Fraction(0), upper=Fraction(1),
-            method="stratified", convention=convention, applicable=False,
-        )
-        return x0, x1
-    upper_total = Fraction(0)
-    lower_total = Fraction(0)
-    per_stratum = []
-    for cells, w in zip(strata, weights):
-        def p(i, j, k, _cells=cells):
-            return _cells.read(i, j, k, convention)
-
-        u = min(_upper_terms_x0(p))
-        l = max(_lower_terms_x1(p))
-        per_stratum.append((u, l))
-        upper_total += u * w
-        lower_total += l * w
-    x0 = BoundsResult(
-        target="x0",
-        lower=Fraction(0),
-        upper=_clamp01(upper_total),
-        method="stratified",
-        terms=tuple(u for u, _ in per_stratum),
-        convention=convention,
+        return _result_pair("stratified", convention, applicable=False)
+    terms = [_four_terms(cells, convention) for cells in strata]
+    uppers = tuple(min(u) for u, _ in terms)
+    lowers = tuple(max(l) for _, l in terms)
+    return _result_pair(
+        "stratified", convention,
+        sum((u * w for u, w in zip(uppers, weights)), Fraction(0)),
+        sum((l * w for l, w in zip(lowers, weights)), Fraction(0)),
+        (uppers, lowers),
     )
-    x1 = BoundsResult(
-        target="x1",
-        lower=_clamp01(lower_total),
-        upper=Fraction(1),
-        method="stratified",
-        terms=tuple(l for _, l in per_stratum),
-        convention=convention,
-    )
-    return x0, x1
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +471,10 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
         for prog in progs
     }
     status = "optimal" if start is not None else "infeasible"
-    x0, x1 = closed_form_bounds(cells, convention="conditional")
-    if not monotone:
-        x0 = replace(x0, applicable=False)
-        x1 = replace(x1, applicable=False)
-    closed = {"x0": x0, "x1": x1}
+    closed = {
+        res.target: res if monotone else replace(res, applicable=False)
+        for res in closed_form_bounds(cells, convention="conditional")
+    }
     deltas = {}
     for target in TARGETS:
         if lp_out[target] is None or not closed[target].applicable:

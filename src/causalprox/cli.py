@@ -363,40 +363,35 @@ def cmd_bounds(args) -> int:
 
     status = EXIT_OK
     lines = []
-    if args.stratify:
-        z_cats = table.categories(args.stratify)
-        strata = []
-        weights = []
-        for cat in z_cats:
-            weight = table.mass({args.stratify: cat})
-            if weight == 0:
-                raise err.ZeroMassError(f"stratum {cat!r} has zero mass")
-            conditioned = table.condition({args.stratify: cat})
-            strata.append(
-                bounds_mod.cells_from_table(conditioned, args.exposure, t_var, s_var)
+    outputs = {}
+    pair = ()  # the (x0, x1) results the closed and LP methods report
+
+    def cells_of(source):
+        return bounds_mod.cells_from_table(source, args.exposure, t_var, s_var)
+
+    cells = None if args.stratify else cells_of(table)
+    if args.method == "closed":
+        if args.stratify:
+            outputs["strata"] = list(table.categories(args.stratify))
+            strata = []
+            weights = []
+            for cat in outputs["strata"]:
+                weight = table.mass({args.stratify: cat})
+                if weight == 0:
+                    raise err.ZeroMassError(f"stratum {cat!r} has zero mass")
+                strata.append(cells_of(table.condition({args.stratify: cat})))
+                weights.append(weight)
+            pair = bounds_mod.stratified_bounds(
+                strata, weights, monotone=args.monotone, convention=args.convention
             )
-            weights.append(weight)
-        x0, x1 = bounds_mod.stratified_bounds(
-            strata, weights, monotone=args.monotone, convention=args.convention
-        )
-        outputs = {
-            "strata": list(z_cats),
-            "weights": [str(w) for w in weights],
-            "x0": _bounds_result_json(x0),
-            "x1": _bounds_result_json(x1),
-        }
-        for res in (x0, x1):
-            lines.append(
-                f"{res.target}: [{float(res.lower):.6g}, {float(res.upper):.6g}]"
-                f" (stratified closed form)"
-            )
-    else:
-        cells = bounds_mod.cells_from_table(table, args.exposure, t_var, s_var)
-        if args.method == "closed":
-            x0, x1 = bounds_mod.closed_form_bounds(cells, convention=args.convention)
+            outputs["weights"] = [str(w) for w in weights]
+            label = "stratified closed form"
+        else:
+            pair = bounds_mod.closed_form_bounds(cells, convention=args.convention)
+            label = f"closed form, {args.convention}"
             if not args.monotone:
-                x0 = replace(x0, applicable=False)
-                x1 = replace(x1, applicable=False)
+                pair = [replace(res, applicable=False) for res in pair]
+                label += ", not applicable without --monotone"
                 diagnostics.append(
                     {
                         "code": "W_CLOSED_ASSUMES_MONOTONE",
@@ -404,59 +399,50 @@ def cmd_bounds(args) -> int:
                         "reported values are not valid bounds without it",
                     }
                 )
-            outputs = {
-                "x0": _bounds_result_json(x0),
-                "x1": _bounds_result_json(x1),
+    elif args.method == "lp":
+        label = "sharp LP"
+        progs = [
+            bounds_mod.build_program(cells, monotone=args.monotone, target=target)
+            for target in bounds_mod.TARGETS
+        ]
+        try:
+            pair = [bounds_mod.lp_bounds(prog) for prog in progs]
+        except err.InfeasibleError as exc:
+            outputs["error"] = {
+                "code": "E_INFEASIBLE",
+                "message": str(exc),
             }
-            suffix = "" if args.monotone else ", not applicable without --monotone"
-            for res in (x0, x1):
+            lines.append(f"bounds infeasible: {exc}")
+            status = EXIT_IDENT
+    else:  # both
+        cert = bounds_mod.certify_against_lp(cells, monotone=args.monotone)
+        outputs["certification"] = _certification_json(cert)
+        if cert.lp_status == "infeasible":
+            status = EXIT_IDENT
+            lines.append(
+                "LP infeasible: observed cells contradict the "
+                + ("monotone " if args.monotone else "")
+                + "response-type model; closed forms reported for reference"
+            )
+        else:
+            for target in bounds_mod.TARGETS:
+                lp_res = cert.lp[target]
                 lines.append(
-                    f"{res.target}: [{float(res.lower):.6g}, "
-                    f"{float(res.upper):.6g}] (closed form, {args.convention}{suffix})"
+                    f"{target}: LP [{float(lp_res.lower):.6g}, "
+                    f"{float(lp_res.upper):.6g}] (authoritative)"
                 )
-        elif args.method == "lp":
-            outputs = {}
-            try:
-                for target in bounds_mod.TARGETS:
-                    prog = bounds_mod.build_program(
-                        cells, monotone=args.monotone, target=target
-                    )
-                    res = bounds_mod.lp_bounds(prog)
-                    outputs[target] = _bounds_result_json(res)
+                if cert.deltas[target] is not None:
+                    dl, du = cert.deltas[target]
                     lines.append(
-                        f"{target}: [{float(res.lower):.6g}, "
-                        f"{float(res.upper):.6g}] (sharp LP)"
+                        f"  closed-form delta: lower {float(dl):+.6g}, "
+                        f"upper {float(du):+.6g}"
                     )
-            except err.InfeasibleError as exc:
-                outputs["error"] = {
-                    "code": "E_INFEASIBLE",
-                    "message": str(exc),
-                }
-                lines = [f"bounds infeasible: {exc}"]
-                status = EXIT_IDENT
-        else:  # both
-            cert = bounds_mod.certify_against_lp(cells, monotone=args.monotone)
-            outputs = {"certification": _certification_json(cert)}
-            if cert.lp_status == "infeasible":
-                status = EXIT_IDENT
-                lines.append(
-                    "LP infeasible: observed cells contradict the "
-                    + ("monotone " if args.monotone else "")
-                    + "response-type model; closed forms reported for reference"
-                )
-            else:
-                for target in bounds_mod.TARGETS:
-                    lp_res = cert.lp[target]
-                    lines.append(
-                        f"{target}: LP [{float(lp_res.lower):.6g}, "
-                        f"{float(lp_res.upper):.6g}] (authoritative)"
-                    )
-                    if cert.deltas[target] is not None:
-                        dl, du = cert.deltas[target]
-                        lines.append(
-                            f"  closed-form delta: lower {float(dl):+.6g}, "
-                            f"upper {float(du):+.6g}"
-                        )
+    for res in pair:
+        outputs[res.target] = _bounds_result_json(res)
+        lines.append(
+            f"{res.target}: [{float(res.lower):.6g}, "
+            f"{float(res.upper):.6g}] ({label})"
+        )
 
     return _report(
         args, {"data": args.data}, params, outputs, diagnostics, status, lines

@@ -22,6 +22,11 @@ from .errors import SpecError
 from .table import JointTable, _validate_schema, over_lcm
 
 DENOM = 10**4
+#: margins and names every random_latent_spec draw uses
+ANCHOR_GAP = Fraction(5, 100)
+MIN_PENCIL_SIGMA = 1e-3
+SPEC_NAMES = ("U", "S", "T", "X", "Z")
+MAX_TRIES = 500
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,8 @@ class LatentModelSpec:
 
     prior, s_emission, t_emission, w_emission hold one entry per stratum
     (a single entry when z_name is None).  Emission matrices have one row
-    per latent category.
+    per latent category.  Every probability entry is an int or a Fraction,
+    so each row sums to exactly 1 and the tables built from it are exact.
     """
 
     latent_name: str
@@ -81,9 +87,11 @@ class LatentModelSpec:
         def check_dist(row, what, length):
             if len(row) != length:
                 raise SpecError(f"{what} has length {len(row)}, expected {length}")
+            if not all(isinstance(p, (int, Fraction)) for p in row):
+                raise SpecError(f"{what} entries must be ints or Fractions")
             if any(p < 0 for p in row):
                 raise SpecError(f"{what} has a negative entry")
-            if _dist_sum_off(row):
+            if sum(row) != 1:
                 raise SpecError(f"{what} does not sum to 1")
 
         if len(self.prior) != self.n_strata:
@@ -109,13 +117,6 @@ class LatentModelSpec:
                     )
         if self.z_dist is not None:
             check_dist(self.z_dist, "z_dist", len(self.z_categories))
-
-
-def _dist_sum_off(row):
-    total = sum(row)
-    if all(isinstance(p, (int, Fraction)) for p in row):
-        return total != 1
-    return abs(float(total) - 1.0) > 1e-9
 
 
 def generate_latent_model(spec: LatentModelSpec, mode: str = "rational"):
@@ -262,42 +263,39 @@ def random_latent_spec(
     k: int,
     n_strata: Optional[int] = None,
     prior_gap: Fraction = Fraction(2, 100),
-    anchor_gap: Fraction = Fraction(5, 100),
-    min_pencil_sigma: float = 1e-3,
-    names=("U", "S", "T", "X", "Z"),
-    max_tries: int = 500,
 ) -> LatentModelSpec:
     """Sample a spec whose identifiability margins are explicit.
 
     Margins enforced per stratum: latent prior strictly increasing with
     consecutive gaps >= prior_gap; anchor conditionals f(w1|u) pairwise
-    separated by >= anchor_gap (these are the pencil eigenvalues); both
+    separated by >= ANCHOR_GAP (these are the pencil eigenvalues); both
     implied cross-moment matrices keep their smallest singular value at or
-    above min_pencil_sigma (the selected-anchor one gets a tenth of that,
-    since it carries an extra eigenvalue factor).  All parameters are
-    rationals over denominator 10^4 so the implied tables serialize as exact
-    decimals.
+    above MIN_PENCIL_SIGMA (the selected-anchor one gets a tenth of that,
+    since it carries an extra eigenvalue factor).  A stratum gets MAX_TRIES
+    draws before SpecError; the variables are named SPEC_NAMES (latent,
+    S, T, anchor, stratum).  All parameters are rationals over denominator
+    10^4 so the implied tables serialize as exact decimals.
     """
     if k < 2:
         raise SpecError("k must be at least 2")
-    uname, sname, tname, wname, zname = names
+    uname, sname, tname, wname, zname = SPEC_NAMES
     ucats = tuple(f"u{i}" for i in range(k))
     scats = tuple(f"s{i}" for i in range(k))
     tcats = tuple(f"t{i}" for i in range(k))
     wcats = ("w0", "w1")
 
     gap_units = int(prior_gap * DENOM)
-    anchor_units = int(anchor_gap * DENOM)
+    anchor_units = int(ANCHOR_GAP * DENOM)
 
     def draw_stratum():
-        for _ in range(max_tries):
+        for _ in range(MAX_TRIES):
             prior_units = _increasing_composition(rng, k, gap_units)
             anchors = _spread_values(rng, k, 500, 9500, anchor_units)
             prior = tuple(Fraction(n, DENOM) for n in prior_units)
             s_block = _dominant_block(rng, k)
             t_block = _dominant_block(rng, k)
             p_sigma, q_sigma = _pencil_sigmas(prior, s_block, t_block, anchors, k)
-            if p_sigma < min_pencil_sigma or q_sigma < min_pencil_sigma / 10:
+            if p_sigma < MIN_PENCIL_SIGMA or q_sigma < MIN_PENCIL_SIGMA / 10:
                 continue
             w_block = tuple(
                 (Fraction(DENOM - a, DENOM), Fraction(a, DENOM)) for a in anchors

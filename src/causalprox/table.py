@@ -276,7 +276,10 @@ def load_counts(source, schema=None):
         if value_kind == "count":
             if not (raw.isascii() and raw.isdigit()):
                 raise FormatError(f"line {lineno}: count must be a nonnegative integer, got {raw!r}")
-            value = (int(raw), 1)
+            try:
+                value = (int(raw), 1)
+            except ValueError as exc:  # longer than int() converts
+                raise FormatError(f"line {lineno}: count too long: {exc}") from exc
         else:
             whole, _, places = raw.partition(".")
             digits = whole + places

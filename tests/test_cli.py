@@ -530,14 +530,19 @@ def test_bounds_stratify_requires_closed_method(workdir, capsys):
     assert "--method closed" in capsys.readouterr().err
 
 
-def test_bounds_stratified_equal_strata_match_unstratified(workdir):
+def write_two_equal_strata_csv(path: Path) -> None:
+    """The education counts repeated under Z = z0 and Z = z1."""
     from causalprox.fixtures import EDUCATION_COUNTS
 
     lines = ["Z,X,S,T,count"]
     for z in ("z0", "z1"):
         for (x, s, t), count in sorted(EDUCATION_COUNTS.items()):
             lines.append(f"{z},{x},{s},{t},{count}")
-    Path("stratified.csv").write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_bounds_stratified_equal_strata_match_unstratified(workdir):
+    write_two_equal_strata_csv(Path("stratified.csv"))
     code, report = run_json([
         "bounds", "stratified.csv", "--exposure", "X", "--proxies", "T,S",
         "--stratify", "Z", "--monotone", "--method", "closed",
@@ -548,6 +553,35 @@ def test_bounds_stratified_equal_strata_match_unstratified(workdir):
     assert report["outputs"]["x1"]["lower"]["exact"] == "3/10"
     assert report["outputs"]["x0"]["upper"]["exact"] == "7/10"
     assert report["outputs"]["x1"]["method"] == "stratified"
+
+
+@pytest.mark.parametrize("monotone", [True, False], ids=["monotone", "unrestricted"])
+def test_bounds_stratified_closed_summary_and_report(workdir, capsys, monotone):
+    """Without --monotone the stratified closed form is the trivial [0, 1]
+    pair flagged not applicable; with it, the four-term averages."""
+    write_two_equal_strata_csv(Path("stratified.csv"))
+    argv = [
+        "bounds", "stratified.csv", "--exposure", "X", "--proxies", "T,S",
+        "--stratify", "Z", "--method", "closed",
+    ] + (["--monotone"] if monotone else [])
+    assert main(argv) == 0
+    want = (
+        ["x0: [0, 0.7] (stratified closed form)",
+         "x1: [0.3, 1] (stratified closed form)"]
+        if monotone
+        else ["x0: [0, 1] (stratified closed form)",
+              "x1: [0, 1] (stratified closed form)"]
+    )
+    assert capsys.readouterr().out.splitlines() == want
+    code, report = run_json(argv)
+    assert code == 0
+    outputs = report["outputs"]
+    assert outputs["strata"] == ["z0", "z1"]
+    assert outputs["weights"] == ["1/2", "1/2"]
+    for target in ("x0", "x1"):
+        assert outputs[target]["method"] == "stratified"
+        assert outputs[target]["applicable"] is monotone
+    assert report["diagnostics"] == []
 
 
 def test_bounds_zero_mass_stratum_fails(workdir, capsys):

@@ -326,6 +326,16 @@ def test_unicode_digit_count_exits_as_usage_error(tmp_path, monkeypatch, capsys)
     assert "count must be a nonnegative integer" in capsys.readouterr().err
 
 
+def test_oversized_count_exits_as_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.csv").write_text(
+        "X,T,S,count\nx0,t0,s0," + "1" * 5000 + "\nx1,t0,s0,3\n"
+    )
+    code = main(["bounds", "big.csv", "--exposure", "X", "--proxies", "T,S"])
+    assert code == 4
+    assert "line 2: count too long" in capsys.readouterr().err
+
+
 def test_unicode_digit_rational_is_a_format_error():
     with pytest.raises(FormatError, match="not a rational number"):
         load_counts("A,prob\na0,\u0660.\u0665\na1,0.5\n")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,8 @@ def test_random_spec_infeasible_gap_raises():
 
 def test_spec_validation_rejects_bad_rows():
     base = education_model()
+    with pytest.raises(SpecError, match="ints or Fractions"):
+        replace(base, prior=((0.45, 0.55),))  # floats cannot sum to exactly 1
     with pytest.raises(SpecError):
         LatentModelSpec(
             latent_name=base.latent_name,

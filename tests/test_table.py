@@ -87,6 +87,8 @@ def test_load_counts_rejects_bad_headers_and_cells():
         load_counts("A,count\na0,2\na0,3\n")  # duplicate cell
     with pytest.raises(FormatError):
         load_counts("A,count\na0,-1\n")
+    with pytest.raises(FormatError, match="line 2: count too long"):
+        load_counts("A,count\na0," + "1" * 5000 + "\na1,1\n")  # int() limit
     with pytest.raises(EmptyDataError):
         load_counts("A,count\n")
     with pytest.raises(FormatError):
