@@ -353,6 +353,11 @@ def cmd_bounds(args) -> int:
             "--stratify is supported with --method closed only; the "
             "certification and plain LP paths are unstratified"
         )
+    if args.stratify in (args.exposure, t_var, s_var):
+        raise err.FormatError(
+            f"--stratify {args.stratify} names the exposure or a proxy; the "
+            "stratum variable must differ from the exposure and both proxies"
+        )
     if args.method == "lp" and args.convention != "conditional":
         diagnostics.append(
             {

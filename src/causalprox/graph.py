@@ -3,7 +3,9 @@
 A diagram is a DAG over named vertices plus optional bidirected edges
 standing for unmeasured common causes.  Every query first replaces each
 bidirected edge a <-> b with a fresh latent parent a <- L -> b, so the
-separation semantics are those of the fully directed expansion.
+separation semantics are those of the fully directed expansion.  Each
+diagram indexes its neighbours, its vertex set and its latent expansion
+once, and every query reads that index.
 
 Every d-connection question (d-separation, back-door and front-door
 clauses) runs on one breadth-first search with parent pointers: Bayes-Ball
@@ -17,6 +19,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
@@ -48,46 +51,76 @@ class CausalDiagram:
     directed: tuple
     bidirected: tuple
 
-    @property
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.vertices)
+    def __post_init__(self):
+        # The index every query reads, built once since the fields never
+        # change: the vertex set and each vertex's parents and children.
+        parents = {v: [] for v in self.vertices}
+        children = {v: [] for v in self.vertices}
+        for a, b in self.directed:
+            children[a].append(b)
+            parents[b].append(a)
+        object.__setattr__(self, "vertex_set", frozenset(self.vertices))
+        object.__setattr__(self, "_parents", parents)
+        object.__setattr__(self, "_children", children)
+
+    @cached_property
+    def _expansion(self) -> "CausalDiagram":
+        """The latent expansion, indexed in its turn, built on first use."""
+        return expand_bidirected(self)
 
     def parents(self, v: str) -> set:
-        return {a for a, b in self.directed if b == v}
+        return set(self._parents.get(v, ()))
 
     def children(self, v: str) -> set:
-        return {b for a, b in self.directed if a == v}
+        return set(self._children.get(v, ()))
 
     def descendants(self, v: str) -> set:
         """Proper descendants of v (v itself excluded)."""
+        children = self._children
         seen = set()
         stack = [v]
         while stack:
-            cur = stack.pop()
-            for child in self.children(cur):
+            for child in children.get(stack.pop(), ()):
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
         return seen
 
     def ancestors_inclusive(self, vs: Iterable[str]) -> set:
+        parents = self._parents
         seen = set(vs)
         stack = list(seen)
         while stack:
-            cur = stack.pop()
-            for p in self.parents(cur):
+            for p in parents.get(stack.pop(), ()):
                 if p not in seen:
                     seen.add(p)
                     stack.append(p)
         return seen
 
 
+def _edge_keys(edges, names: set, bidirected: bool) -> dict:
+    """Validated edges as dict keys in first-seen order, duplicates dropped."""
+    kind, arrow = ("bidirected", "<->") if bidirected else ("directed", "->")
+    out = {}
+    for a, b in edges:
+        for v in (a, b):
+            if not isinstance(v, str):
+                raise FormatError(f"{kind} edge {a!r}{arrow}{b!r} has a non-string endpoint {v!r}")
+            if v not in names:
+                raise UnknownVertexError(f"{kind} edge {a!r}{arrow}{b!r} uses unknown vertex {v!r}")
+        if a == b:
+            raise CycleError(f"{'bidirected ' if bidirected else ''}self-loop on {a!r}")
+        out[(b, a) if bidirected and b < a else (a, b)] = None
+    return out
+
+
 def build_diagram(vertices, directed=(), bidirected=()) -> CausalDiagram:
     """Validate and construct a diagram.
 
     Raises UnknownVertexError for edges touching undeclared vertices,
-    FormatError for bad vertex names or duplicate declarations, and
-    CycleError when the directed part is cyclic (self-loops included).
+    FormatError for bad vertex names, non-string edge endpoints or
+    duplicate declarations, and CycleError when the directed part is
+    cyclic (self-loops included).
     """
     verts = tuple(vertices)
     if not verts:
@@ -101,30 +134,8 @@ def build_diagram(vertices, directed=(), bidirected=()) -> CausalDiagram:
         if v in seen:
             raise FormatError(f"duplicate vertex {v!r}")
         seen.add(v)
-
-    dir_edges = []
-    for edge in directed:
-        a, b = edge
-        for v in (a, b):
-            if v not in seen:
-                raise UnknownVertexError(f"directed edge {a!r}->{b!r} uses unknown vertex {v!r}")
-        if a == b:
-            raise CycleError(f"self-loop on {a!r}")
-        if (a, b) not in dir_edges:
-            dir_edges.append((a, b))
-
-    bi_edges = []
-    for edge in bidirected:
-        a, b = edge
-        for v in (a, b):
-            if v not in seen:
-                raise UnknownVertexError(f"bidirected edge {a!r}<->{b!r} uses unknown vertex {v!r}")
-        if a == b:
-            raise CycleError(f"bidirected self-loop on {a!r}")
-        key = (a, b) if a <= b else (b, a)
-        if key not in bi_edges:
-            bi_edges.append(key)
-
+    dir_edges = _edge_keys(directed, seen, bidirected=False)
+    bi_edges = _edge_keys(bidirected, seen, bidirected=True)
     g = CausalDiagram(verts, tuple(dir_edges), tuple(sorted(bi_edges)))
     _check_acyclic(g)
     return g
@@ -132,15 +143,12 @@ def build_diagram(vertices, directed=(), bidirected=()) -> CausalDiagram:
 
 def _check_acyclic(g: CausalDiagram) -> None:
     # Kahn's algorithm; leftovers mean a directed cycle.
-    indeg = {v: 0 for v in g.vertices}
-    for _, b in g.directed:
-        indeg[b] += 1
+    indeg = {v: len(ps) for v, ps in g._parents.items()}
     queue = [v for v in g.vertices if indeg[v] == 0]
     done = 0
     while queue:
-        v = queue.pop()
         done += 1
-        for c in g.children(v):
+        for c in g._children[queue.pop()]:
             indeg[c] -= 1
             if indeg[c] == 0:
                 queue.append(c)
@@ -233,7 +241,10 @@ def find_open_path(
     cset = _as_vertex_set(g, c, "conditioning set")
     if aset & bset or aset & cset or bset & cset:
         raise PreconditionError("d-separation arguments must be pairwise disjoint")
-    gx = expand_bidirected(g)
+    # Without bidirected edges a diagram is its own expansion; asking for
+    # it anyway would store the diagram on itself.
+    gx = g._expansion if g.bidirected else g
+    parents, children = gx._parents, gx._children
     opens = gx.ancestors_inclusive(cset)
 
     for start in sorted(aset):
@@ -243,9 +254,9 @@ def find_open_path(
             v, entered = state
             up = v in opens if entered else v not in cset
             down = v not in cset and not (v == start and require_arrow_into_start)
-            moves = [(p, False) for p in gx.parents(v)] if up else []
+            moves = [(p, False) for p in parents[v]] if up else []
             if down:
-                moves += [(ch, True) for ch in gx.children(v)]
+                moves += [(ch, True) for ch in children[v]]
             return sorted(moves)
 
         path = _shortest_walk((start, False), step, bset)
@@ -318,7 +329,7 @@ def satisfies_frontdoor(g: CausalDiagram, x: str, y: str, z=()) -> CriterionRepo
 
     path = _shortest_walk(
         (x, True),
-        lambda state: [(ch, True) for ch in sorted(g.children(state[0])) if ch not in zset],
+        lambda state: [(ch, True) for ch in sorted(g._children[state[0]]) if ch not in zset],
         {y},
     )
     if path is not None:
@@ -400,4 +411,4 @@ def diagram_from_json(payload) -> CausalDiagram:
             not isinstance(e, list) or len(e) != 2 for e in edges
         ):
             raise FormatError(f"'{name}' must be a list of two-element lists")
-    return build_diagram(vertices, [tuple(e) for e in directed], [tuple(e) for e in bidirected])
+    return build_diagram(vertices, directed, bidirected)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SpecError
-from .table import JointTable, _validate_schema, over_lcm
+from .table import JointTable, _validate_schema, lcm_numerators, over_lcm
 
 DENOM = 10**4
 #: margins and names every random_latent_spec draw uses
@@ -89,9 +89,10 @@ class LatentModelSpec:
                 raise SpecError(f"{what} has length {len(row)}, expected {length}")
             if not all(isinstance(p, (int, Fraction)) for p in row):
                 raise SpecError(f"{what} entries must be ints or Fractions")
-            if any(p < 0 for p in row):
+            num, den = lcm_numerators(row)  # exact integers: cheaper than Fractions
+            if any(n < 0 for n in num):
                 raise SpecError(f"{what} has a negative entry")
-            if sum(row) != 1:
+            if sum(num) != den:
                 raise SpecError(f"{what} does not sum to 1")
 
         if len(self.prior) != self.n_strata:

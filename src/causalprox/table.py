@@ -63,12 +63,16 @@ def _validate_schema(schema, allow_empty=False):
     return schema
 
 
+def lcm_numerators(rationals):
+    """([numerators], the LCM of the denominators) of ints and Fractions."""
+    den = math.lcm(*(f.denominator for f in rationals))
+    return [f.numerator * (den // f.denominator) for f in rationals], den
+
+
 def over_lcm(values):
     """(numerators shaped like values, the LCM of their denominators)."""
     values = np.asarray(values, dtype=object)
-    fracs = [Fraction(p) for p in values.flat]
-    den = math.lcm(*(f.denominator for f in fracs))
-    num = [f.numerator * (den // f.denominator) for f in fracs]
+    num, den = lcm_numerators([Fraction(p) for p in values.flat])
     return np.array(num, dtype=object).reshape(values.shape), den
 
 

@@ -203,3 +203,15 @@ def random_mixed_graph(rng, n, p_edge=0.35, p_bi=0.15):
         if rng.random() < p_bi:
             bidirected.append((u, v))
     return labels, directed, bidirected
+
+
+def first_adjustment_set(vertices, directed, bidirected, x, y, candidates, criterion):
+    """The first candidate subset, in size-then-lexicographic order, that
+    meets the criterion by the path oracle, or None when none does."""
+    failure = backdoor_failure if criterion == "backdoor" else frontdoor_failure
+    cands = sorted(candidates)
+    for size in range(len(cands) + 1):
+        for subset in itertools.combinations(cands, size):
+            if failure(vertices, directed, bidirected, x, y, subset)[0] is None:
+                return subset
+    return None

@@ -255,6 +255,13 @@ def test_check_unknown_vertex_is_usage_error(workdir, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_non_string_edge_endpoint_is_usage_error(workdir, capsys):
+    Path("bad.json").write_text(json.dumps({"vertices": ["a", "b"], "directed": [[["a"], "b"]]}))
+    code = main(["check", "bad.json", "--pair", "a,b"])
+    assert code == 4
+    assert "error: directed edge ['a']->'b' has a non-string endpoint" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # identify
 
@@ -528,6 +535,18 @@ def test_bounds_stratify_requires_closed_method(workdir, capsys):
     ])
     assert code == 4
     assert "--method closed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable", ["X", "T"], ids=["exposure", "proxy"])
+def test_bounds_stratify_rejects_exposure_and_proxies(workdir, capsys, variable):
+    code = main([
+        "bounds", "data.csv", "--exposure", "X", "--proxies", "T,S",
+        "--stratify", variable, "--method", "closed",
+    ])
+    assert code == 4
+    err_text = capsys.readouterr().err
+    assert f"--stratify {variable} names the exposure or a proxy" in err_text
+    assert "not in table" not in err_text
 
 
 def write_two_equal_strata_csv(path: Path) -> None:

@@ -5,6 +5,7 @@ import pytest
 
 from causalprox import (
     CycleError,
+    FormatError,
     PreconditionError,
     SizeError,
     UnknownVertexError,
@@ -18,6 +19,7 @@ from causalprox import (
     satisfies_backdoor,
     satisfies_frontdoor,
 )
+from causalprox import graph as graph_mod
 from causalprox.fixtures import (
     chain_diagram,
     confounder_chain_diagram,
@@ -28,6 +30,7 @@ from dsep_oracle import (
     all_dags,
     backdoor_failure,
     descendants,
+    first_adjustment_set,
     frontdoor_failure,
     open_paths,
     path_d_separated,
@@ -97,6 +100,21 @@ def test_dsep_rejects_unknown_vertices():
     g = build_diagram("AB", [("A", "B")])
     with pytest.raises(UnknownVertexError):
         d_separated(g, "A", "Q")
+
+
+def test_diagram_rejects_non_string_edge_endpoints():
+    cases = [
+        ("directed", [["a"], "b"], r"directed edge \['a'\]->'b' has a non-string endpoint \['a'\]"),
+        ("directed", ["a", {"b": 1}], r"directed edge 'a'->\{'b': 1\} has a non-string endpoint"),
+        ("bidirected", [{"a": 1}, "b"], r"bidirected edge \{'a': 1\}<->'b' has a non-string"),
+        ("bidirected", ["a", ["b"]], r"bidirected edge 'a'<->\['b'\] has a non-string"),
+    ]
+    for kind, edge, message in cases:
+        with pytest.raises(FormatError, match=message):
+            diagram_from_json({"vertices": ["a", "b"], kind: [edge]})
+    # a string that names no declared vertex is still an unknown vertex
+    with pytest.raises(UnknownVertexError, match="'c'"):
+        diagram_from_json({"vertices": ["a", "b"], "directed": [["a", "c"]]})
 
 
 def test_build_diagram_rejects_cycles_and_self_loops():
@@ -256,6 +274,55 @@ def test_find_adjustment_set_candidate_guard():
     g = build_diagram(labels, [("X", "Y")])
     with pytest.raises(SizeError):
         find_adjustment_set(g, "X", "Y", labels[:21])
+
+
+def test_find_adjustment_set_matches_brute_force_oracle():
+    rng = random.Random(2718)
+    below_exposure = no_set = large = 0
+    for _ in range(300):
+        labels, directed, bidirected = random_mixed_graph(rng, rng.randint(6, 8), 0.5, 0.08)
+        g = build_diagram(labels, directed, bidirected)
+        x, y = rng.sample(labels, 2)
+        if x in descendants(directed, y):
+            x, y = y, x
+        cands = [v for v in labels if v not in (x, y)]
+        below_exposure += bool(set(cands) & descendants(directed, x))
+        for criterion in ("backdoor", "frontdoor"):
+            want = first_adjustment_set(labels, directed, bidirected, x, y, cands, criterion)
+            got = find_adjustment_set(g, x, y, cands, criterion)
+            assert got == want, (criterion, directed, bidirected, x, y)
+            no_set += want is None
+            large += want is not None and len(want) >= 3
+    assert below_exposure > 150 and no_set > 150 and large >= 10
+
+
+def test_each_diagram_expands_its_bidirected_edges_once(monkeypatch):
+    calls = []
+    real_expand = graph_mod.expand_bidirected
+
+    def counting_expand(g):
+        calls.append(g)
+        return real_expand(g)
+
+    monkeypatch.setattr(graph_mod, "expand_bidirected", counting_expand)
+    # two confounders to adjust for, among eight candidates
+    cands = [f"c{i}" for i in range(8)]
+    g = build_diagram(
+        cands + ["X", "Y"],
+        [("c0", "X"), ("c0", "Y"), ("c1", "X"), ("c1", "Y"), ("X", "Y"), ("c4", "c5")],
+        [("c2", "c3"), ("c5", "c6"), ("c1", "c7")],
+    )
+    assert find_adjustment_set(g, "X", "Y", cands) == ("c0", "c1")
+    assert len(calls) <= 1
+    # three mediators: the clauses run five searches on one expansion
+    calls.clear()
+    g = build_diagram(
+        ["X", "M0", "M1", "M2", "Y"],
+        [("X", "M0"), ("X", "M1"), ("X", "M2"), ("M0", "Y"), ("M1", "Y"), ("M2", "Y")],
+        [("X", "Y")],
+    )
+    assert satisfies_frontdoor(g, "X", "Y", ["M0", "M1", "M2"]).holds
+    assert len(calls) <= 1
 
 
 def test_chain_fixture_variants():
