@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import FormatError, InfeasibleError, SpecError, ZeroMassError
 from .lp import LinearProgram, phase1, phase2
+from .ratio import parse_rational
 from .table import JointTable
 
 TYPE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -416,7 +417,7 @@ def stratified_bounds(
         raise FormatError("one weight per stratum required")
     if not strata:
         raise FormatError("at least one stratum required")
-    weights = [Fraction(w) if not isinstance(w, Fraction) else w for w in weights]
+    weights = [parse_rational(w) for w in weights]
     if any(w < 0 for w in weights):
         raise FormatError("stratum weights must be nonnegative")
     if any(w == 0 for w in weights):

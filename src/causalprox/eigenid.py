@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -225,54 +224,14 @@ def check_design(table: JointTable, design: ProxyDesign) -> None:
 
 @dataclass(frozen=True)
 class StratumMatrices:
-    """Square cross-moment matrices for one stratum, as numerators.
-
-    counts[i, j, a] is the table numerator of (s event i AND t event j
-    AND anchor value w_values[a]) inside the stratum, index 0 meaning "no
-    constraint", and total is the stratum's own numerator, so every
-    moment is exactly counts / total.  In rational mode both hold Python
-    ints.  p_float and floats (indexed like counts), like the stacked pencil
-    input, are made by int / int true division, which rounds correctly:
-    each entry equals float(Fraction) of the exact moment.
-    by_anchor maps every anchor value to its exact matrix, p is their sum
-    (the anchor summed out) and q the matrix at the design's anchor
-    value; their entries keep the table's arithmetic mode.
+    """One stratum's pencil: p, the cross-moment matrix with the anchor summed
+    out, and q, the matrix at the design's anchor value.  Entries keep the
+    table's arithmetic mode: Fractions in rational mode, floats in float mode.
     """
 
     stratum: tuple
-    counts: np.ndarray
-    total: object
-    w_values: tuple
-    anchor: int
-
-    @property
-    def k(self):
-        return self.counts.shape[0]
-
-    def _exact(self, counts):
-        if counts.dtype == object:  # Python ints: one Fraction per entry
-            return counts * Fraction(1, self.total)
-        return counts / self.total
-
-    @property
-    def by_anchor(self):
-        return {w: self._exact(self.counts[:, :, a]) for a, w in enumerate(self.w_values)}
-
-    @property
-    def p(self):
-        return self._exact(self.counts.sum(axis=2))
-
-    @property
-    def q(self):
-        return self._exact(self.counts[:, :, self.anchor])
-
-    @cached_property
-    def p_float(self):
-        return np.asarray(self.counts.sum(axis=2) / self.total, dtype=float)
-
-    @cached_property
-    def floats(self):
-        return np.asarray(self.counts / self.total, dtype=float)
+    p: np.ndarray
+    q: np.ndarray
 
 
 def stratum_assignments(design: ProxyDesign, table: JointTable):
@@ -296,8 +255,10 @@ def _event_rows(table, vars_, select):
 
 def _moment_stack(table, design, stratum, z_vars):
     """(counts, totals, w_values, anchor) of a stratum split by every combination
-    of z_vars: counts[j] and totals[j] are StratumMatrices.counts and .total of
-    the j-th in category order, read off numerators summed over the rest once."""
+    of z_vars, read off numerators summed over the rest once.  counts[j, i, l, a]
+    is the numerator of (s event i AND t event l AND anchor value w_values[a]) in
+    the j-th combination in category order, index 0 meaning "no constraint", so
+    the moments are counts[j] / totals[j]; w_values[anchor] is design.w_value."""
     free = [v for v in table.variables if v not in stratum]
     rest = [v for v in free if v not in z_vars]
     block = table._block(stratum).transpose([free.index(v) for v in (*z_vars, *rest)])
@@ -327,7 +288,7 @@ def cross_moment_matrices(
     design: ProxyDesign,
     stratum: Optional[dict] = None,
 ) -> StratumMatrices:
-    """Build the pencil matrices for one stratum, one per anchor value.
+    """Build the pencil matrices p and q for one stratum.
 
     Rows follow the s events, columns the t events, both prefixed by the
     unconstrained event.  Raises ZeroMassError when the stratum itself
@@ -338,8 +299,11 @@ def cross_moment_matrices(
         raise ZeroMassError(f"stratum {stratum!r} has zero mass")
     # an anchor value outside the table raises the table's own error here
     table._block(dict(zip(design.w_vars, design.w_value)))
-    counts, totals, w_values, anchor = _moment_stack(table, design, stratum, ())
-    return StratumMatrices(tuple(sorted(stratum.items())), counts[0], totals[0], w_values, anchor)
+    counts, totals, _, anchor = _moment_stack(table, design, stratum, ())
+    # int / Fraction is exact; float tables divide as floats
+    total = Fraction(totals[0]) if counts.dtype == object else totals[0]
+    return StratumMatrices(tuple(sorted(stratum.items())),
+                           counts[0].sum(axis=2) / total, counts[0, :, :, anchor] / total)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +576,7 @@ def recover_factors(
 
 def _anchor_profiles(floats, factors, w_values, tol, fail):
     """f(w'|u, z) for every anchor value and slot, given fixed factors and the
-    cross moments floats[j] (indexed like StratumMatrices.counts): deltas and
+    cross moments floats[j] = counts[j] / totals[j] of _moment_stack: deltas and
     off-diagonal residuals by [slot][anchor value], and the max replay residual."""
     s_inv, t_inv = _factor_inverses(factors.s_rows, factors.t_rows, fail)
     q = floats.transpose(0, 3, 1, 2)

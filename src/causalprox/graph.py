@@ -37,9 +37,10 @@ def _as_vertex_set(g: "CausalDiagram", arg, what: str) -> frozenset:
     if isinstance(arg, str):
         arg = (arg,)
     out = frozenset(arg)
-    for v in out:
-        if v not in g.vertex_set:
-            raise UnknownVertexError(f"{what} references unknown vertex {v!r}")
+    unknown = out - g.vertex_set
+    if unknown:  # the first in sorted order, so the message is reproducible
+        name = min(unknown, key=str)
+        raise UnknownVertexError(f"{what} references unknown vertex {name!r}")
     return out
 
 

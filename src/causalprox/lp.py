@@ -36,14 +36,6 @@ from .errors import FormatError
 from .ratio import parse_rational
 
 
-def _coerce(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (str, int)):
-        return parse_rational(value)
-    raise FormatError(f"expected an exact rational, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LinearProgram:
     """min or max objective.x over A x = b, x >= 0, all entries rational."""
@@ -68,9 +60,9 @@ class LinearProgram:
 def make_program(n, equalities, objective, sense="min") -> LinearProgram:
     """Coerce arbitrary rational-like entries into a LinearProgram."""
     eqs = tuple(
-        (tuple(_coerce(a) for a in row), _coerce(b)) for row, b in equalities
+        (tuple(map(parse_rational, row)), parse_rational(b)) for row, b in equalities
     )
-    obj = tuple(_coerce(c) for c in objective)
+    obj = tuple(parse_rational(c) for c in objective)
     return LinearProgram(n=n, equalities=eqs, objective=obj, sense=sense)
 
 
@@ -149,7 +141,7 @@ def _memo(build, entries):
     """build's value-keyed cache, or build itself unless every entry is a
     Fraction, int, bool or str: a float, Decimal or NumPy number can equal,
     and hash as, a cached rational, and an unhashable entry cannot be looked
-    up, so those are built afresh and _coerce raises its FormatError."""
+    up, so those are built afresh and parse_rational raises its FormatError."""
     exact = {Fraction, int, bool, str}.issuperset(map(type, entries))
     return build if exact else build.__wrapped__
 
@@ -161,7 +153,7 @@ def _skeleton(n, rows):
     Integer row r is row_scale * A[r] followed by the artificial unit
     vector e_r; the column sums cover the first n entries.
     """
-    coeffs = [[_coerce(a) for a in row] for row in rows]
+    coeffs = [[parse_rational(a) for a in row] for row in rows]
     m = len(rows)
     row_scale = lcm(*{a.denominator for row in coeffs for a in row})
     scaled = [
@@ -178,7 +170,7 @@ def _skeleton(n, rows):
 def _scaled_objective(objective, sense):
     """(gamma, c): c is gamma * objective, negated for "max", in integers."""
     sign = 1 if sense == "min" else -1
-    c = [_coerce(v) for v in objective]
+    c = [parse_rational(v) for v in objective]
     gamma = lcm(*{v.denominator for v in c})
     return gamma, tuple(sign * v.numerator * (gamma // v.denominator) for v in c)
 
@@ -193,7 +185,7 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
     m = len(lp.equalities)
     rows = tuple(tuple(row) for row, _ in lp.equalities)
     row_scale, prefixes, colsum = _memo(_skeleton, chain.from_iterable(rows))(n, rows)
-    rhs = [_coerce(b) for _, b in lp.equalities]
+    rhs = [parse_rational(b) for _, b in lp.equalities]
     # one scalar for every row, then one for every right-hand side
     scale = lcm(*{(b * row_scale).denominator for b in rhs})
     cost = [-c for c in colsum]

@@ -16,7 +16,7 @@ def parse_rational(text):
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
-        raise FormatError(f"expected a rational string, got {type(text).__name__}")
+        raise FormatError(f"expected an exact rational, got {text!r}")
     if not text.isascii() or "_" in text:
         raise FormatError(f"not a rational number: {text!r}")
     try:

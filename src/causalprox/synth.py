@@ -120,11 +120,11 @@ class LatentModelSpec:
             check_dist(self.z_dist, "z_dist", len(self.z_categories))
 
 
-def generate_latent_model(spec: LatentModelSpec, mode: str = "rational"):
-    """Materialize (ground_truth, observable) tables for a spec.
+def generate_latent_model(spec: LatentModelSpec):
+    """Materialize exact (ground_truth, observable) tables for a spec.
 
     The ground truth covers (U, S, T, W[, Z]); the observable table is its
-    margin with U summed out.  In rational mode both are exact.
+    margin with U summed out.
     """
     schema = [
         (spec.latent_name, spec.latent_categories),
@@ -151,10 +151,6 @@ def generate_latent_model(spec: LatentModelSpec, mode: str = "rational"):
     g = math.gcd(den, *num.flat)
     num = np.moveaxis(num // g, 0, -1) if spec.z_name else (num // g)[0]
     truth = JointTable(_validate_schema(schema), num, "rational", den // g)
-    if mode == "float":
-        truth = truth.to_float()
-    elif mode != "rational":
-        raise SpecError(f"unknown mode {mode!r}")
     observable = truth.marginal([name for name, _ in schema[1:]])
     return truth, observable
 

@@ -72,7 +72,7 @@ def lcm_numerators(rationals):
 def over_lcm(values):
     """(numerators shaped like values, the LCM of their denominators)."""
     values = np.asarray(values, dtype=object)
-    num, den = lcm_numerators([Fraction(p) for p in values.flat])
+    num, den = lcm_numerators([parse_rational(p) for p in values.flat])
     return np.array(num, dtype=object).reshape(values.shape), den
 
 
@@ -81,10 +81,10 @@ class JointTable:
     """Joint distribution over the schema's variables, row-major.
 
     Entry i has probability num[i] / den; see the module docstring.
-    With den omitted, num holds the probabilities: Fraction() inputs in
-    rational mode, floats in float mode.  num is always copied and kept
-    read-only; probs, the read-only probability array, is built from num
-    and den on first use in rational mode.
+    With den omitted, num holds the probabilities: exact rationals that
+    parse_rational reads in rational mode, floats in float mode.  num is
+    always copied and kept read-only; probs, the read-only probability
+    array, is built from num and den on first use in rational mode.
     """
 
     schema: tuple

@@ -4,14 +4,16 @@ causalprox.eigenid recovers every stratum in one stacked pass: each stage
 (SVD tests, pencil spectra, residuals, normalized inverses, prior
 conjugation, prior ordering, anchor profiles) is one call over an
 (m, k, k) stack.  The functions below are the sequential pipeline it
-replaced, unchanged apart from taking its dataclasses and errors from the
-package: `solve_pencil`, `recover_factors` and `_anchor_profile` handle
+replaced, unchanged apart from taking its dataclasses, errors and one
+stratum's cross-moment numerators (`_moment_stack`) from the package:
+`solve_pencil`, `recover_factors` and `_anchor_profile` handle
 one stratum, and `identify_joint` loops over the strata in category order
 and raises the first error it meets.  Tests require the package's results
 and errors to equal theirs bit for bit.
 """
 
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,10 +22,9 @@ from causalprox.eigenid import (
     LatentFactors,
     PencilEigensystem,
     ReconstructedJoint,
-    StratumMatrices,
     Tolerances,
+    _moment_stack,
     check_design,
-    cross_moment_matrices,
     stratum_assignments,
 )
 from causalprox.errors import (
@@ -36,6 +37,7 @@ from causalprox.errors import (
     PivotError,
     RangeError,
     SingularMatrixError,
+    ZeroMassError,
 )
 from causalprox.table import make_table
 
@@ -196,7 +198,21 @@ def recover_factors(
     )
 
 
-def _anchor_profile(sm: StratumMatrices, factors: LatentFactors, tol: Tolerances):
+class _Moments(NamedTuple):
+    """One stratum's cross moments as the sequential pipeline reads them:
+    floats[i, j, a] and p_float by int / int true division of _moment_stack's
+    numerators, the stratum's total numerator, the anchor values and the
+    index of the design's."""
+
+    stratum: tuple
+    floats: np.ndarray
+    p_float: np.ndarray
+    total: object
+    w_values: tuple
+    anchor: int
+
+
+def _anchor_profile(sm: _Moments, factors: LatentFactors, tol: Tolerances):
     """Recover f(w'|u, z) for every anchor value, given fixed factors.
 
     Returns (w_values, delta matrix indexed [anchor value][latent i],
@@ -230,7 +246,13 @@ def _anchor_profile(sm: StratumMatrices, factors: LatentFactors, tol: Tolerances
 
 def _recover_stratum(table, design, stratum, tol):
     """Cross moments, pencil and factors for one stratum, in pencil order."""
-    sm = cross_moment_matrices(table, design, stratum)
+    counts, totals, w_values, anchor = _moment_stack(table, design, stratum, ())
+    if totals[0] == 0:
+        raise ZeroMassError(f"stratum {stratum!r} has zero mass")
+    sm = _Moments(tuple(sorted(stratum.items())),
+                  np.asarray(counts[0] / totals[0], dtype=float),
+                  np.asarray(counts[0].sum(axis=2) / totals[0], dtype=float),
+                  totals[0], w_values, anchor)
     system = solve_pencil(sm.p_float, sm.floats[:, :, sm.anchor], tol)
     return sm, recover_factors(system, sm.p_float, tol, stratum=sm.stratum)
 

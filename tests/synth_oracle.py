@@ -13,11 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from causalprox.errors import SpecError
 from causalprox.table import make_table
 
 
-def generate_latent_model_per_cell(spec, mode="rational"):
+def generate_latent_model_per_cell(spec):
     """(ground_truth, observable) with one Fraction product per cell."""
     schema = [
         (spec.latent_name, spec.latent_categories),
@@ -43,9 +42,5 @@ def generate_latent_model_per_cell(spec, mode="rational"):
         )
         probs[idx] = Fraction(mass)
     truth = make_table(schema, probs, "rational")
-    if mode == "float":
-        truth = truth.to_float()
-    elif mode != "rational":
-        raise SpecError(f"unknown mode {mode!r}")
     observable = truth.marginal([name for name, _ in schema[1:]])
     return truth, observable

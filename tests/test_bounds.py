@@ -455,6 +455,8 @@ def test_stratified_validation():
         stratified_bounds([cells, cells], [F(1), F(0)])
     with pytest.raises(FormatError):
         stratified_bounds([cells, cells], [F(1, 2), F(1, 3)])
+    with pytest.raises(FormatError, match="expected an exact rational, got 0.1"):
+        stratified_bounds([cells, cells], [0.1, 0.9])
 
 
 # ---------------------------------------------------------------------------

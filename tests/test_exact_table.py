@@ -1,9 +1,9 @@
 """The integer-numerator table against Fraction-per-cell reference code.
 
 JointTable keeps integer numerators over one denominator and
-cross_moment_matrices reads every matrix off one summed stratum slice.
-tests/table_oracle.py does both jobs one Fraction per cell; these tests
-compare the two with ``==`` on seeded random inputs, including
+eigenid._moment_stack reads every stratum's cross moments off one summed
+block.  tests/table_oracle.py does both jobs one Fraction per cell; these
+tests compare the two with ``==`` on seeded random inputs, including
 denominators past 2**63, and check that the float pencil inputs are bit
 for bit the floats of the exact moments.
 """
@@ -29,7 +29,7 @@ from causalprox import (
     random_latent_spec,
 )
 from causalprox.cli import _auto_design, _observable_csv, main
-from causalprox.eigenid import stratum_assignments
+from causalprox.eigenid import _moment_stack, stratum_assignments
 from causalprox.ratio import decimal_string, parse_rational
 from table_oracle import (
     FractionTable,
@@ -249,16 +249,23 @@ def test_cross_moments_match_per_entry_oracle(k):
 
 
 def assert_moments_match(table, design, stratum):
+    """The stacked moments identify_joint reads, and cross_moment_matrices'
+    p and q, against one table.mass() quotient per entry."""
     sm = cross_moment_matrices(table, design, stratum)
     p, q, by_anchor = cross_moments_per_entry(table, design, stratum)
     assert (sm.p == p).all() and (sm.q == q).all()
-    assert list(sm.by_anchor) == list(by_anchor)
-    for a, (w_value, matrix) in enumerate(by_anchor.items()):
-        assert (sm.by_anchor[w_value] == matrix).all()
+    j = stratum_assignments(design, table).index(stratum)
+    counts, totals, w_values, anchor = _moment_stack(table, design, {}, design.z_vars)
+    counts, total = counts[j], totals[j]
+    assert list(w_values) == list(by_anchor) and w_values[anchor] == design.w_value
+    # int / int true division, as the stacked pencil input is made
+    floats = np.asarray(counts / total, dtype=float)
+    for a, matrix in enumerate(by_anchor.values()):
+        assert (counts[:, :, a] * Fraction(1, total) == matrix).all()
         want = np.array([[float(x) for x in row] for row in matrix])
-        assert sm.floats[:, :, a].tobytes() == want.tobytes()
+        assert floats[:, :, a].tobytes() == want.tobytes()
     want_p = np.array([[float(x) for x in row] for row in p])
-    assert sm.p_float.tobytes() == want_p.tobytes()
+    assert np.asarray(counts.sum(axis=2) / total, dtype=float).tobytes() == want_p.tobytes()
 
 
 def test_cross_moments_with_multi_variable_roles_and_extra_axes():
@@ -287,7 +294,7 @@ def test_cross_moments_with_multi_variable_roles_and_extra_axes():
 
 def test_float_table_cross_moments_close_to_oracle():
     spec = random_latent_spec(random.Random(12), k=4, n_strata=2)
-    _, observable = generate_latent_model(spec, mode="float")
+    observable = generate_latent_model(spec)[1].to_float()
     design = _auto_design(spec)
     for stratum in stratum_assignments(design, observable):
         sm = cross_moment_matrices(observable, design, stratum)

@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +104,27 @@ def test_dsep_rejects_unknown_vertices():
     g = build_diagram("AB", [("A", "B")])
     with pytest.raises(UnknownVertexError):
         d_separated(g, "A", "Q")
+
+
+def test_unknown_vertex_message_is_independent_of_string_hashing():
+    """Set order follows string hashing; the message names the first unknown
+    vertex in sorted order under every hash seed."""
+    code = (
+        "from causalprox import build_diagram, d_separated\n"
+        "try:\n"
+        "    d_separated(build_diagram(['A', 'B']), 'A', 'B', ['Q3', 'Q2', 'Q1'])\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    messages = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        messages.add(run.stdout)
+    assert messages == {"conditioning set references unknown vertex 'Q1'\n"}
 
 
 def test_diagram_rejects_non_string_edge_endpoints():

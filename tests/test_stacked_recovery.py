@@ -153,7 +153,7 @@ def test_first_failing_stratum_wins_over_earlier_stage_failures():
 
 def _good_pencil():
     sm = cross_moment_matrices(education_table(), education_design())
-    return sm.p_float, sm.floats[:, :, sm.anchor]
+    return np.asarray(sm.p, dtype=float), np.asarray(sm.q, dtype=float)
 
 
 def _solve_two(p_bad, q_bad):
@@ -251,7 +251,8 @@ def test_zero_mass_stratum_beside_a_good_one():
     assert isinstance(fail[1], ZeroMassError)
     assert str(fail[1]) == "stratum {'Z': 'z1'} has zero mass"
     sm = cross_moment_matrices(table, design, {"Z": "z0"})
-    want = recover_factors(solve_pencil(sm.p_float, sm.floats[:, :, sm.anchor]), sm.p_float)
+    p, q = np.asarray(sm.p, dtype=float), np.asarray(sm.q, dtype=float)
+    want = recover_factors(solve_pencil(p, q), p)
     _assert_same_factors(factors.slot(0, ()), want)
     with pytest.raises(ZeroMassError, match="z1"):
         identify_joint(table, design)

@@ -80,13 +80,6 @@ def test_generator_matches_per_cell_oracle(k):
                 generate_latent_model(spec), generate_latent_model_per_cell(spec)
             ):
                 assert_same_numerators(got, want)
-            for got, want in zip(
-                generate_latent_model(spec, mode="float"),
-                generate_latent_model_per_cell(spec, mode="float"),
-            ):
-                assert got.schema == want.schema and got.mode == "float"
-                assert got.probs.dtype == want.probs.dtype
-                assert got.probs.tobytes() == want.probs.tobytes()
 
 
 def test_generator_matches_oracle_on_fixture_specs():
@@ -97,15 +90,6 @@ def test_generator_matches_oracle_on_fixture_specs():
         generate_latent_model_per_cell(education_model()),
     ):
         assert_same_numerators(got, want)
-
-
-def test_generate_latent_model_float_mode():
-    rng = random.Random(8)
-    spec = random_latent_spec(rng, k=2)
-    truth, observable = generate_latent_model(spec, mode="float")
-    assert truth.mode == "float" and observable.mode == "float"
-    with pytest.raises(SpecError):
-        generate_latent_model(spec, mode="exactly")
 
 
 def test_random_spec_margins_hold_across_k():

@@ -99,6 +99,16 @@ def test_make_table_validates_mass():
     schema = [("A", ("a0", "a1"))]
     with pytest.raises(FormatError):
         make_table(schema, [F(1, 2), F(1, 3)])
+    # exact inputs follow the CSV prob column's rule: ASCII text, no digit
+    # separators, no floats
+    for probs, message in (
+        (["\u0661/\u0662", "\u0661/\u0662"], "not a rational number"),
+        (["0.5_0", "0.5"], "not a rational number"),
+        ([0.25, 0.75], "expected an exact rational, got 0.25"),
+        ([0.1, 0.9], "expected an exact rational, got 0.1"),
+    ):
+        with pytest.raises(FormatError, match=message):
+            make_table(schema, probs)
     t = make_table(schema, [F(1, 2), F(1, 2)])
     assert t.prob({"A": "a1"}) == F(1, 2)
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 from math import comb
 
 from causalprox.errors import FormatError, SizeError
-from causalprox.lp import LinearProgram, _coerce, make_program
+from causalprox.lp import LinearProgram, make_program
+from causalprox.ratio import parse_rational
 
 MAX_VERTEX_VARIABLES = 64
 MAX_VERTEX_EQUALITIES = 12
@@ -88,7 +89,7 @@ def enumerate_vertices(equalities, n: int):
             f"equalities, got {len(equalities)}"
         )
     aug = [
-        [_coerce(a) for a in row] + [_coerce(b)] for row, b in equalities
+        [parse_rational(a) for a in row] + [parse_rational(b)] for row, b in equalities
     ]
     for row, _ in equalities:
         if len(row) != n:
@@ -125,7 +126,7 @@ def vertex_optimum(verts, objective, sense="min"):
     """Brute-force optimum over enumerate_vertices() output; None when empty."""
     if not verts:
         return None
-    obj = [_coerce(c) for c in objective]
+    obj = [parse_rational(c) for c in objective]
     pick = min if sense == "min" else max  # the first vertex among equals
     return pick(
         ((sum(c * x for c, x in zip(obj, v)), v) for v in verts),
