@@ -9,11 +9,21 @@ q_ijk over the 64 joint types reproduces the observed cells
 p(t, s | x) through consistency, which is a linear map; bounding the
 interventional targets over all feasible q is therefore an exact LP.
 
-The monotone variant forbids the decreasing type (1,0) on all three
-coordinates (27 types remain).  Closed-form four-term bounds for that
-variant are evaluated verbatim under two reading conventions of the cell
-symbols, because the worked numbers they are checked against use the
-joint reading while the program constraints require the conditional one.
+Without monotonicity the program's answer is always [0, 1], attained by
+two product distributions, so lp_bounds returns it in closed form.  The
+monotone variant forbids the decreasing type (1,0) on all three
+coordinates (27 types remain); its program is infeasible whenever the
+cells break one of the stochastic-order conditions the model implies,
+which lp_bounds tests before phase 1, and otherwise the exact simplex
+solves it.  The lp_bounds docstring proves both shortcuts, and
+certify_against_lp keeps the simplex for every program, so
+`--method both` re-checks them independently.
+Every witness is a support: only the types with positive mass.
+
+Closed-form four-term bounds for the monotone variant are evaluated
+verbatim under two reading conventions of the cell symbols, because the
+worked numbers they are checked against use the joint reading while the
+program constraints require the conditional one.
 """
 
 from __future__ import annotations
@@ -115,6 +125,11 @@ def cells_from_table(
     table: JointTable, x_var: str, t_var: str, s_var: str
 ) -> ObservedCells:
     """Extract cells from a joint table; category order gives the 0/1 coding."""
+    if len({x_var, t_var, s_var}) != 3:
+        raise FormatError(
+            f"exposure {x_var!r} and proxies {t_var!r}, {s_var!r} must be "
+            "three distinct variables"
+        )
     if table.mode != "rational":
         raise FormatError("bounds require an exact (rational-mode) table")
     for var in (x_var, t_var, s_var):
@@ -283,7 +298,9 @@ class BoundsResult:
     """One target's interval plus how it was obtained.
 
     method is "lp", "closed-form" or "stratified"; witnesses (lp only)
-    maps "lower"/"upper" to the attaining type distribution as a dict;
+    maps "lower"/"upper" to the support of an attaining type distribution,
+    a dict from (i, j, k) to its positive mass (types without mass are
+    absent);
     terms (closed forms only) lists the candidate expressions before
     min/max and clamping; applicable is False when a closed form was
     requested without its monotonicity premise.
@@ -309,22 +326,101 @@ class BoundsResult:
 def lp_bounds(prog: CounterfactualProgram) -> BoundsResult:
     """Sharp bounds: exact min and max of the target objective.
 
+    The answer is read from prog.cells, which build_program sets, and each
+    witness is the support of an attaining type distribution: only the
+    types with positive mass.
+
+    Unrestricted programs are solved in closed form, with no simplex.  The
+    answer is [0, 1].  Let P = TYPE_PAIRS and cond[(t, s, k)] = p(t, s | x_k).
+    D puts all mass on Y-type (1,0) (k = 2) with
+    q(i, j, 2) = cond[(P[i][0], P[j][0], 1)] * cond[(P[i][1], P[j][1], 0)],
+    and U puts all mass on Y-type (0,1) (k = 1) with
+    q(i, j, 1) = cond[(P[i][1], P[j][1], 1)] * cond[(P[i][0], P[j][0], 0)].
+    Proof: under x1 a unit of D has Y = 0, so it shows (T, S) =
+    (P[i][0], P[j][0]), the cell of the first factor; under x0 it has
+    Y = 1 and shows the cell of the second.  Summing the product over the
+    other factor's cells, which sum to 1, leaves each arm's marginal equal
+    to that arm's cells, so every equality row holds; U is the mirror
+    image.  The target reads the fixed Y value, so D gives x1 the value 0
+    and x0 the value 1, and U the reverse: D is the x1 lower and x0 upper
+    witness, U the x1 upper and x0 lower one.  The one-proxy program keeps
+    only sums of the two-proxy rows, so it relaxes the two-proxy program
+    and the same witnesses satisfy it.
+
+    Monotone programs are first tested against the stochastic-order
+    conditions every monotone model implies: for each down-set L of the
+    kept proxies' values, P(L | x1) <= P(L | x0).  With two proxies these
+    are p(00|x1) <= p(00|x0), P(T=0|x1) <= P(T=0|x0), P(S=0|x1) <=
+    P(S=0|x0) and p(11|x1) >= p(11|x0); with one proxy K kept, P(K=0|x1)
+    <= P(K=0|x0).  Proof by coupling: with no decreasing type, Y(x1) >=
+    Y(x0) for every unit, and T and S are nondecreasing in Y, so each
+    unit's (T, S) under x1 dominates its (T, S) under x0 and the mass of
+    a down-set can only shrink.  Only necessity is used: cells that pass
+    go to the exact simplex, which decides feasibility and the bounds.
+
     Raises InfeasibleError when the observed cells are inconsistent with
-    the response-type model (possible under monotonicity: the model forces
-    inequalities such as nonincreasing cells that real data can violate).
+    the monotone response-type model (the model forces inequalities such
+    as nonincreasing cells that real data can violate).
     """
-    start = phase1(prog.lp("min"))
+    if not prog.monotone:
+        return _unrestricted_bounds(prog)
+    start = None if _breaks_order(prog.cells, prog.dropped) else phase1(prog.lp("min"))
     if start is None:
         raise InfeasibleError(
-            "observed cells are inconsistent with the "
-            + ("monotone " if prog.monotone else "")
-            + "response-type model"
+            "observed cells are inconsistent with the monotone response-type model"
         )
     return _bounds_from_start(prog, start)
 
 
+def _unrestricted_bounds(prog: CounterfactualProgram) -> BoundsResult:
+    """[0, 1] with the product witnesses D and U of lp_bounds."""
+    cond = prog.cells.cond
+
+    def product(k, y1):
+        # all mass on Y-type k, whose Y is y1 under x1 and y0 under x0
+        y0 = 1 - y1
+        masses = (
+            ((i, j, k), cond[(a[y1], b[y1], 1)] * cond[(a[y0], b[y0], 0)])
+            for (i, a), (j, b) in itertools.product(enumerate(TYPE_PAIRS), repeat=2)
+        )
+        return {idx: mass for idx, mass in masses if mass}
+
+    down, up = product(DECREASING, 0), product(1, 1)
+    lower, upper = (down, up) if prog.target == "x1" else (up, down)
+    return BoundsResult(
+        target=prog.target,
+        lower=Fraction(0),
+        upper=Fraction(1),
+        method="lp",
+        witnesses={"lower": lower, "upper": upper},
+    )
+
+
+# The down-sets of the kept proxies' (t, s) values whose conditional mass
+# a monotone model cannot raise from x0 to x1, by dropped proxy.
+_DOWN_SETS = {
+    None: (
+        ((0, 0),),
+        ((0, 0), (0, 1)),  # T = 0
+        ((0, 0), (1, 0)),  # S = 0
+        ((0, 0), (0, 1), (1, 0)),  # not (1, 1)
+    ),
+    "s": (((0, 0), (0, 1)),),
+    "t": (((0, 0), (1, 0)),),
+}
+
+
+def _breaks_order(cells: ObservedCells, dropped: Optional[str]) -> bool:
+    """True when cells break a stochastic-order condition of lp_bounds."""
+    cond = cells.cond
+    return any(
+        sum(cond[(t, s, 1)] for t, s in down) > sum(cond[(t, s, 0)] for t, s in down)
+        for down in _DOWN_SETS[dropped]
+    )
+
+
 def _bounds_from_start(prog: CounterfactualProgram, start) -> BoundsResult:
-    """lp_bounds from a phase1() start of prog's constraints."""
+    """lp_bounds from a phase1() start of prog's constraints, by the simplex."""
     results = {}
     for sense in ("min", "max"):
         res = phase2(start, prog.objective, sense)
@@ -335,8 +431,8 @@ def _bounds_from_start(prog: CounterfactualProgram, start) -> BoundsResult:
             )
         results[sense] = res
     witnesses = {
-        "lower": dict(zip(prog.variables, results["min"].witness)),
-        "upper": dict(zip(prog.variables, results["max"].witness)),
+        side: {v: m for v, m in zip(prog.variables, results[sense].witness) if m}
+        for side, sense in (("lower", "min"), ("upper", "max"))
     }
     return BoundsResult(
         target=prog.target,

@@ -303,7 +303,6 @@ def _bounds_result_json(res: bounds_mod.BoundsResult) -> dict:
             side: {
                 ",".join(map(str, idx)): str(mass)
                 for idx, mass in sorted(wit.items())
-                if mass != 0
             }
             for side, wit in res.witnesses.items()
         }

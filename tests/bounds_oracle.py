@@ -7,6 +7,10 @@ replaced, unchanged apart from their names: `build_program_per_call`
 rebuilds every row and the objective from the response map on each call,
 and `cells_per_mass` reads every cell with one `mass` lookup and a
 division.  Tests require the package's results to equal theirs with `==`.
+
+`random_cells` draws seeded test cells, `support` cuts a simplex witness
+down to its positive masses, and `assert_attaining_support` checks a
+witness that no simplex produced against the per-call program.
 """
 
 import itertools
@@ -16,8 +20,10 @@ from typing import Optional
 from causalprox.bounds import (
     ALL_INDICES,
     MONOTONE_INDICES,
+    BoundsResult,
     CounterfactualProgram,
     ObservedCells,
+    cells_from_types,
     stratum_equation_indices,
     target_indices,
 )
@@ -107,3 +113,49 @@ def build_program_per_call(
         dropped=drop_proxy,
         cells=cells,
     )
+
+
+def random_cells(rng):
+    """Cells of a sparse monotone or unrestricted type distribution, or two
+    arbitrary arms, which the monotone model often cannot produce."""
+    kind = rng.randrange(3)
+    if kind < 2:
+        types = MONOTONE_INDICES if kind == 0 else ALL_INDICES
+        weights = [rng.randint(1, 9) if rng.random() < 0.4 else 0 for _ in types]
+        weights[rng.randrange(len(types))] += 1
+        total = sum(weights)
+        return cells_from_types(
+            {t: Fraction(w, total) for t, w in zip(types, weights) if w}
+        )
+    cond = {}
+    for k in (0, 1):
+        weights = [rng.randint(0, 9) for _ in range(4)]
+        weights[rng.randrange(4)] += 1
+        for (i, j), w in zip(itertools.product((0, 1), (0, 1)), weights):
+            cond[(i, j, k)] = Fraction(w, sum(weights))
+    return ObservedCells(cond=cond)
+
+
+def support(variables, witness) -> dict:
+    """A dense simplex witness as its support: the types with positive mass."""
+    return {v: m for v, m in zip(variables, witness) if m}
+
+
+def assert_attaining_support(prog: CounterfactualProgram, res: BoundsResult):
+    """Each of res's witnesses is the support of a feasible type distribution
+    of prog that attains its endpoint: positive Fraction masses on prog's
+    types, summing to 1, meeting every equality row of the program rebuilt
+    by build_program_per_call, with the target objective equal to the
+    endpoint."""
+    ref = build_program_per_call(
+        prog.cells, prog.monotone, prog.target, drop_proxy=prog.dropped
+    )
+    for side, endpoint in (("lower", res.lower), ("upper", res.upper)):
+        witness = res.witnesses[side]
+        assert set(witness) <= set(ref.variables), side
+        assert all(type(m) is Fraction and m > 0 for m in witness.values()), side
+        assert sum(witness.values()) == 1, side
+        dense = [witness.get(v, Fraction(0)) for v in ref.variables]
+        for row, rhs in ref.equalities:
+            assert sum(a * x for a, x in zip(row, dense)) == rhs, (side, rhs)
+        assert sum(c * x for c, x in zip(ref.objective, dense)) == endpoint, side

@@ -6,12 +6,16 @@ tests read bench/ as source and import nothing from it: every name a
 bench module imports from causalprox must exist, and the per-stratum probe
 of the identify workload (cross_moment_matrices, then solve_pencil on its
 p and q, then recover_factors) must still run and agree with
-identify_joint.
+identify_joint.  One test runs a short traced bounds workload in a
+subprocess, so an answer the bench's own checkers reject fails here.
 """
 
 import ast
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,3 +88,19 @@ def test_identify_probe_sequence_agrees_with_identify_joint(model, tmp_path, mon
         factors = recover_factors(system, sm.p, stratum=sm.stratum)
         assert factors.stratum == sm.stratum == want.stratum
         assert sorted(factors.prior) == pytest.approx(want.prior, abs=1e-12, rel=0)
+
+
+def test_short_traced_bounds_run_is_correct():
+    """`python3 bench/run.py --workload bounds --seed 1 --seconds 0.5
+    --trace 1` from the repository root: the bench's independent oracles
+    accept every answer, witnesses included, and no op fails."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "bounds", "--seed", "1",
+         "--seconds", "0.5", "--trace", "1"],
+        cwd=BENCH.parent, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["correct"] is True, proc.stdout
+    assert summary["failed"] == 0, proc.stdout

@@ -22,7 +22,14 @@ import pytest
 
 from causalprox import cli, eigenid, generate_latent_model, random_latent_spec
 from causalprox import errors as err
-from causalprox.bounds import MONOTONE_INDICES, cells_from_types
+from causalprox.bounds import (
+    MONOTONE_INDICES,
+    build_program,
+    cells_from_table,
+    cells_from_types,
+    certify_against_lp,
+    lp_bounds,
+)
 from causalprox.cli import main
 from causalprox.eigenid import ProxyDesign
 from causalprox.fixtures import (
@@ -34,7 +41,7 @@ from causalprox.fixtures import (
     uninformative_anchor_table,
 )
 from causalprox.graph import build_diagram, diagram_to_json
-from causalprox.table import JointTable
+from causalprox.table import JointTable, load_counts
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -426,6 +433,52 @@ def test_bounds_default_lp_unrestricted(workdir):
         assert payload["method"] == "lp"
         assert payload["applicable"] is True
         assert set(payload["witnesses"]) == {"lower", "upper"}
+
+
+def stringified(witnesses) -> dict:
+    return {
+        side: {",".join(map(str, idx)): str(mass) for idx, mass in wit.items()}
+        for side, wit in witnesses.items()
+    }
+
+
+def test_bounds_report_witnesses_are_the_results(workdir):
+    """The report prints each witness support as the library returns it:
+    the unrestricted closed-form witnesses and the certified simplex ones."""
+    write_feasible_csv(workdir / "feasible.csv")
+    for data in ("data.csv", "feasible.csv"):
+        cells = cells_from_table(load_counts(Path(data)), "X", "T", "S")
+        code, report = run_json(
+            ["bounds", data, "--exposure", "X", "--proxies", "T,S"]
+        )
+        assert code == 0
+        for target in ("x0", "x1"):
+            res = lp_bounds(build_program(cells, monotone=False, target=target))
+            assert report["outputs"][target]["witnesses"] == stringified(res.witnesses)
+    code, report = run_json([
+        "bounds", "feasible.csv", "--exposure", "X", "--proxies", "T,S",
+        "--monotone", "--method", "both",
+    ])
+    assert code == 0
+    cert = certify_against_lp(cells, monotone=True)
+    for target in ("x0", "x1"):
+        got = report["outputs"]["certification"]["lp"][target]["witnesses"]
+        assert got == stringified(cert.lp[target].witnesses)
+
+
+@pytest.mark.parametrize(
+    "exposure, proxies", [("X", "T,T"), ("T", "T,S")], ids=["proxies", "exposure"]
+)
+def test_bounds_repeated_role_names_all_three(workdir, capsys, exposure, proxies):
+    code = main(["bounds", "data.csv", "--exposure", exposure, "--proxies", proxies])
+    assert code == 4
+    t_var, s_var = proxies.split(",")
+    err_text = capsys.readouterr().err
+    assert (
+        f"exposure {exposure!r} and proxies {t_var!r}, {s_var!r} must be "
+        "three distinct variables"
+    ) in err_text
+    assert "duplicate variable" not in err_text
 
 
 def test_bounds_monotone_lp_infeasible(workdir, capsys):

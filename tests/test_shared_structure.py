@@ -7,7 +7,9 @@ seen, certify_against_lp runs one phase 1 for both targets and
 cells_from_table reads the marginal's numerators in one pass.  These
 tests hold each of them to the per-call code it replaced
 (tests/bounds_oracle.py, tests/simplex_oracle.py) with ``==``, and check
-that no cell data survives from one call to the next.
+that no cell data survives from one call to the next.  lp_bounds answers
+unrestricted programs in closed form, so there its values are compared
+with ``==`` and its witnesses are checked to be valid and attaining.
 """
 
 import itertools
@@ -17,7 +19,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from bounds_oracle import build_program_per_call, cells_per_mass
+from bounds_oracle import (
+    assert_attaining_support,
+    build_program_per_call,
+    cells_per_mass,
+    random_cells,
+    support,
+)
 from simplex_oracle import oracle_solve
 
 import causalprox.bounds as bounds_mod
@@ -35,52 +43,45 @@ from causalprox import (
     make_program,
     solve,
 )
-from causalprox.bounds import ALL_INDICES, MONOTONE_INDICES, cells_from_types
+from causalprox.bounds import cells_from_types
 
 SHAPES = list(itertools.product((True, False), (None, "s", "t"), ("x0", "x1")))
 
 
-def random_cells(rng):
-    """Cells of a sparse monotone or unrestricted type distribution, or two
-    arbitrary arms, which the monotone model often cannot produce."""
-    kind = rng.randrange(3)
-    if kind < 2:
-        types = MONOTONE_INDICES if kind == 0 else ALL_INDICES
-        weights = [rng.randint(1, 9) if rng.random() < 0.4 else 0 for _ in types]
-        weights[rng.randrange(len(types))] += 1
-        total = sum(weights)
-        return cells_from_types({t: F(w, total) for t, w in zip(types, weights) if w})
-    cond = {}
-    for k in (0, 1):
-        weights = [rng.randint(0, 9) for _ in range(4)]
-        weights[rng.randrange(4)] += 1
-        for (i, j), w in zip(itertools.product((0, 1), (0, 1)), weights):
-            cond[(i, j, k)] = F(w, sum(weights))
-    return ObservedCells(cond=cond)
-
-
 def oracle_bounds(cells, monotone, target, drop):
-    """(lower, upper, witnesses) from the per-call program and the Fraction
-    simplex, or None when infeasible."""
+    """(lower, upper, witness supports) from the per-call program and the
+    Fraction simplex, or None when infeasible."""
     prog = build_program_per_call(cells, monotone, target, drop_proxy=drop)
     lower, upper = (oracle_solve(prog.lp(sense)) for sense in ("min", "max"))
     if lower.status == "infeasible":
         assert upper.status == "infeasible"
         return None
     witnesses = {
-        "lower": dict(zip(prog.variables, lower.witness)),
-        "upper": dict(zip(prog.variables, upper.witness)),
+        "lower": support(prog.variables, lower.witness),
+        "upper": support(prog.variables, upper.witness),
     }
     return lower.value, upper.value, witnesses
 
 
-def package_bounds(cells, monotone, target, drop):
+def assert_lp_bounds_match_oracle(cells, monotone, target, drop):
+    """lp_bounds against oracle_bounds: the whole answer, witness supports
+    included, on monotone programs; on unrestricted ones, which lp_bounds
+    solves in closed form, the values exactly and valid attaining supports.
+    Returns the oracle's answer."""
+    want = oracle_bounds(cells, monotone, target, drop)
     prog = build_program(cells, monotone, target, drop_proxy=drop)
     try:
         res = lp_bounds(prog)
     except InfeasibleError:
-        return None
-    return res.lower, res.upper, res.witnesses
+        assert want is None
+        return want
+    assert want is not None
+    if monotone:
+        assert (res.lower, res.upper, res.witnesses) == want
+    else:
+        assert (res.lower, res.upper) == want[:2]
+        assert_attaining_support(prog, res)
+    return want
 
 
 def test_build_program_equals_per_call_oracle():
@@ -121,9 +122,7 @@ def test_interleaved_cell_sets_leave_no_data_behind():
     infeasible = 0
     for monotone, drop, target in SHAPES:
         for cells in (a, b, a):
-            want = oracle_bounds(cells, monotone, target, drop)
-            assert package_bounds(cells, monotone, target, drop) == want
-            infeasible += want is None
+            infeasible += assert_lp_bounds_match_oracle(cells, monotone, target, drop) is None
     for monotone in (True, False):
         for cells in (a, b, a):
             report = certify_against_lp(cells, monotone)
@@ -209,11 +208,24 @@ def test_certify_runs_one_phase1(monkeypatch):
             statuses.add(report.lp_status)
             for target in ("x0", "x1"):
                 prog = build_program(cells, monotone, target)
-                if report.lp[target] is None:
+                got = report.lp[target]
+                if got is None:
                     with pytest.raises(InfeasibleError):
                         lp_bounds(prog)
+                elif monotone:
+                    assert got == lp_bounds(prog)
                 else:
-                    assert report.lp[target] == lp_bounds(prog)
+                    # lp_bounds answers in closed form; certify keeps the simplex
+                    res = lp_bounds(prog)
+                    assert (got.lower, got.upper) == (res.lower, res.upper)
+                    assert got.witnesses == {
+                        side: support(prog.variables, w.witness)
+                        for side, w in (
+                            ("lower", solve(prog.lp("min"))),
+                            ("upper", solve(prog.lp("max"))),
+                        )
+                    }
+                    assert_attaining_support(prog, res)
     assert statuses == {"optimal", "infeasible"}
 
 
