@@ -9,10 +9,11 @@ Three layers:
   of a k-category latent variable from two conditionally independent
   proxies plus an anchor, per stratum, via a matrix-pencil eigenproblem,
   with synthetic ground-truth models for validation;
-- partial identification (`bounds`, `lp`): exact LP bounds on
+- partial identification (`bounds`, `lp`): sharp LP bounds on
   interventional probabilities from proxy response types when the
-  point-identification assumptions fail, cross-certified closed forms,
-  and an exact rational simplex backend.
+  point-identification assumptions fail, in closed form and proved by
+  exact LP certificates, cross-checked closed forms, and an exact
+  rational simplex kept as the general LP.
 
 The `causalprox` command line fronts all of it; `fixtures` carries the
 shared worked example.
@@ -29,6 +30,7 @@ from .bounds import (
     certify_against_lp,
     closed_form_bounds,
     lp_bounds,
+    sharp_bounds,
     stratified_bounds,
     true_target,
 )

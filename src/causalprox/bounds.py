@@ -9,15 +9,19 @@ q_ijk over the 64 joint types reproduces the observed cells
 p(t, s | x) through consistency, which is a linear map; bounding the
 interventional targets over all feasible q is therefore an exact LP.
 
-Without monotonicity the program's answer is always [0, 1], attained by
-two product distributions, so lp_bounds returns it in closed form.  The
-monotone variant forbids the decreasing type (1,0) on all three
-coordinates (27 types remain); its program is infeasible whenever the
-cells break one of the stochastic-order conditions the model implies,
-which lp_bounds tests before phase 1, and otherwise the exact simplex
-solves it.  The lp_bounds docstring proves both shortcuts, and
-certify_against_lp keeps the simplex for every program, so
-`--method both` re-checks them independently.
+Every such program is answered in closed form, with no simplex.  Without
+monotonicity the answer is [0, 1], attained by two product distributions.
+The monotone variant forbids the decreasing type (1,0) on all three
+coordinates (27 types remain).  For each down-set L of the kept proxies'
+values let gap(L) = P(L | x0) - P(L | x1): the program is feasible exactly
+when every gap is >= 0, and then x0 lies in [0, 1 - g] and x1 in [g, 1],
+g the largest gap, attained by the low and high witnesses of a greedy
+monotone coupling of the two arms.  The lp_bounds docstring proves it.
+certify_against_lp re-proves each answer against build_program's rows
+with exact certificates: each witness meets every row and attains its
+endpoint, a dual vector bounds each endpoint by weak duality, and a
+Farkas ray proves infeasibility.  The simplex of lp.py stays the
+library's general exact LP and the tests' oracle; no bounds path runs it.
 Every witness is a support: only the types with positive mass.
 
 Closed-form four-term bounds for the monotone variant are evaluated
@@ -36,7 +40,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import FormatError, InfeasibleError, SpecError, ZeroMassError
-from .lp import LinearProgram, phase1, phase2
+from .lp import LinearProgram
 from .ratio import parse_rational
 from .table import JointTable
 
@@ -326,13 +330,14 @@ class BoundsResult:
 def lp_bounds(prog: CounterfactualProgram) -> BoundsResult:
     """Sharp bounds: exact min and max of the target objective.
 
-    The answer is read from prog.cells, which build_program sets, and each
-    witness is the support of an attaining type distribution: only the
-    types with positive mass.
+    The answer is read from prog.cells, so prog must equal build_program of
+    its own cells and shape (SpecError otherwise).  Each witness is the
+    support of an attaining type distribution: only the types with
+    positive mass.  No program needs the simplex; the proofs follow.
 
-    Unrestricted programs are solved in closed form, with no simplex.  The
-    answer is [0, 1].  Let P = TYPE_PAIRS and cond[(t, s, k)] = p(t, s | x_k).
-    D puts all mass on Y-type (1,0) (k = 2) with
+    Unrestricted programs.  The answer is [0, 1].  Let P = TYPE_PAIRS and
+    cond[(t, s, k)] = p(t, s | x_k).  D puts all mass on Y-type (1,0)
+    (k = 2) with
     q(i, j, 2) = cond[(P[i][0], P[j][0], 1)] * cond[(P[i][1], P[j][1], 0)],
     and U puts all mass on Y-type (0,1) (k = 1) with
     q(i, j, 1) = cond[(P[i][1], P[j][1], 1)] * cond[(P[i][0], P[j][0], 0)].
@@ -347,99 +352,186 @@ def lp_bounds(prog: CounterfactualProgram) -> BoundsResult:
     only sums of the two-proxy rows, so it relaxes the two-proxy program
     and the same witnesses satisfy it.
 
-    Monotone programs are first tested against the stochastic-order
-    conditions every monotone model implies: for each down-set L of the
-    kept proxies' values, P(L | x1) <= P(L | x0).  With two proxies these
-    are p(00|x1) <= p(00|x0), P(T=0|x1) <= P(T=0|x0), P(S=0|x1) <=
-    P(S=0|x0) and p(11|x1) >= p(11|x0); with one proxy K kept, P(K=0|x1)
-    <= P(K=0|x0).  Proof by coupling: with no decreasing type, Y(x1) >=
-    Y(x0) for every unit, and T and S are nondecreasing in Y, so each
-    unit's (T, S) under x1 dominates its (T, S) under x0 and the mass of
-    a down-set can only shrink.  Only necessity is used: cells that pass
-    go to the exact simplex, which decides feasibility and the bounds.
+    Monotone programs.  With no decreasing type, a unit shows (T, S) = u0
+    under x0 and u1 under x1, where u0 = u1 on Y-types (0,0) and (1,1),
+    and u0 <= u1 coordinatewise on (0,1) because T and S are nondecreasing
+    in Y; every pair u0 <= u1 is that of some monotone type.  The
+    down-sets L of the kept proxies' values are {00}, T=0, S=0 and "not
+    11" with two proxies, and K=0 with one proxy K kept.  Let
+    gap(L) = P(L | x0) - P(L | x1); with two proxies these are the x1
+    lower terms of _four_terms under the conditional reading.  Claim: the
+    program is feasible exactly when every gap is >= 0, and then, with g
+    the largest gap, x1 lies in [g, 1] and x0 in [0, 1 - g].
 
-    Raises InfeasibleError when the observed cells are inconsistent with
-    the monotone response-type model (the model forces inequalities such
-    as nonincreasing cells that real data can violate).
+    Optimality and infeasibility, by weak duality.  Let y_L be +1 on the
+    x0 rows of L and -1 on its x1 rows (a one-proxy row is in L when its
+    kept value is).  On a monotone column, (A^T y_L) = [u0 in L] -
+    [u1 in L] is 0 or 1: never negative, since u1 in L and u0 <= u1 put u0
+    in the down-set L, and 0 on Y-type (0,0), whose u0 = u1.  So A^T y_L <= c for
+    the x1 objective c = [Y(x1) = 1], and every feasible q has x1 >= b.y_L
+    = gap(L).  With the normalization row e0, A^T (e0 - y_L) >= [Y(x0) = 1],
+    which is 1 only on Y-type (1,1), again with u0 = u1; so x0 <= b.(e0 -
+    y_L) = 1 - gap(L).  When gap(L) < 0, -y_L is a Farkas ray:
+    A^T (-y_L) <= 0 and b.(-y_L) > 0, so no q >= 0 meets the rows.  The
+    trivial ends, x0 >= 0 and x1 <= 1, are the zero vector and e0.
+
+    Feasibility and attainment, by a greedy monotone coupling: Strassen's
+    theorem (1965, "The existence of probability measures with given
+    marginals") on a finite poset, see also Kamae, Krengel & O'Brien
+    (1977, "Stochastic inequalities on partially ordered spaces").  With
+    p = (T, S) | x0 and r = (T, S) | x1 on the 2x2 lattice, put r(00) at
+    (00, 00) and p(11) at (11, 11); at each middle point v put
+    min(p(v), r(v)) at (v, v), the excess p(v) - r(v) at (v, 11) and the
+    excess r(v) - p(v) at (00, v); the rest of p(00) goes to (00, 11).
+    Each u0 carries p(u0) and each u1 carries r(u1).  The last mass is the
+    gap of {00} together with the middle points where r exceeds p, so
+    every mass is >= 0 when the gaps are; the off-diagonal mass is
+    p(00) - r(00) + the sum of max(p(v) - r(v), 0) over v, which is g.
+    With one proxy the dropped one is fixed at 0, which runs the same
+    construction on the chain K=0 < K=1.  A pair u0 = u1 becomes a type
+    with constant proxies and Y-type (0,0) in the low witness, (1,1) in
+    the high one; a pair u0 < u1 becomes Y-type (0,1) with
+    i = (u0[0], u1[0]) and j = (u0[1], u1[1]).  The low witness gives
+    x1 = g and x0 = 0, the high one x1 = 1 and x0 = 1 - g, so one pair
+    serves both targets.  These supports are not the simplex's vertices.
+
+    Raises InfeasibleError, carrying the most violated down-set and its
+    two masses, when the observed cells are inconsistent with the
+    monotone response-type model.
     """
-    if not prog.monotone:
-        return _unrestricted_bounds(prog)
-    start = None if _breaks_order(prog.cells, prog.dropped) else phase1(prog.lp("min"))
-    if start is None:
-        raise InfeasibleError(
-            "observed cells are inconsistent with the monotone response-type model"
+    if prog != build_program(prog.cells, prog.monotone, prog.target, prog.dropped):
+        raise SpecError(
+            "program does not match build_program of its cells; lp_bounds "
+            "answers from prog.cells"
         )
-    return _bounds_from_start(prog, start)
+    g, _, witnesses = _sharp(prog.cells, prog.monotone, prog.dropped)
+    return _lp_result(prog.target, g, witnesses[prog.target])
 
 
-def _unrestricted_bounds(prog: CounterfactualProgram) -> BoundsResult:
-    """[0, 1] with the product witnesses D and U of lp_bounds."""
-    cond = prog.cells.cond
+def sharp_bounds(
+    cells: ObservedCells, monotone: bool, drop_proxy: Optional[str] = None
+) -> tuple:
+    """lp_bounds of both targets' programs as (x0 result, x1 result).
 
-    def product(k, y1):
-        # all mass on Y-type k, whose Y is y1 under x1 and y0 under x0
-        y0 = 1 - y1
-        masses = (
-            ((i, j, k), cond[(a[y1], b[y1], 1)] * cond[(a[y0], b[y0], 0)])
-            for (i, a), (j, b) in itertools.product(enumerate(TYPE_PAIRS), repeat=2)
-        )
-        return {idx: mass for idx, mass in masses if mass}
+    Each witness pair is built once for both targets, so the two results
+    share their witness dicts.
+    """
+    if drop_proxy not in (None, "s", "t"):
+        raise FormatError(f"drop_proxy must be None, 's' or 't', got {drop_proxy!r}")
+    g, _, witnesses = _sharp(cells, bool(monotone), drop_proxy)
+    return tuple(_lp_result(target, g, witnesses[target]) for target in TARGETS)
 
-    down, up = product(DECREASING, 0), product(1, 1)
-    lower, upper = (down, up) if prog.target == "x1" else (up, down)
+
+def _lp_result(target: str, g: Fraction, pair: tuple) -> BoundsResult:
+    """x0 in [0, 1 - g] or x1 in [g, 1], with pair = (lower, upper) witness."""
+    lower, upper = (Fraction(0), 1 - g) if target == "x0" else (g, Fraction(1))
     return BoundsResult(
-        target=prog.target,
-        lower=Fraction(0),
-        upper=Fraction(1),
+        target=target,
+        lower=lower,
+        upper=upper,
         method="lp",
-        witnesses={"lower": lower, "upper": upper},
+        witnesses={"lower": pair[0], "upper": pair[1]},
     )
 
 
-# The down-sets of the kept proxies' (t, s) values whose conditional mass
-# a monotone model cannot raise from x0 to x1, by dropped proxy.
-_DOWN_SETS = {
-    None: (
-        ((0, 0),),
-        ((0, 0), (0, 1)),  # T = 0
-        ((0, 0), (1, 0)),  # S = 0
-        ((0, 0), (0, 1), (1, 0)),  # not (1, 1)
-    ),
-    "s": (((0, 0), (0, 1)),),
-    "t": (((0, 0), (1, 0)),),
-}
+# The down-sets of the proxies' (t, s) values whose mass a monotone model
+# cannot raise from x0 to x1, in the order of _x1_lower_terms: under the
+# conditional reading, term n is P(L | x0) - P(L | x1) of _DOWN_SETS[n].
+_DOWN_SETS = (
+    ((0, 0),),
+    ((0, 0), (0, 1), (1, 0)),  # not (1, 1)
+    ((0, 0), (1, 0)),  # S = 0
+    ((0, 0), (0, 1)),  # T = 0
+)
+# the down-sets of the kept proxies' values, by dropped proxy
+_KEPT = {None: (0, 1, 2, 3), "s": (3,), "t": (2,)}
+_TYPE_INDEX = {pair: n for n, pair in enumerate(TYPE_PAIRS)}
+_LATTICE = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _breaks_order(cells: ObservedCells, dropped: Optional[str]) -> bool:
-    """True when cells break a stochastic-order condition of lp_bounds."""
+def _sharp(cells: ObservedCells, monotone: bool, dropped) -> tuple:
+    """(g, binding down-set, {target: (lower witness, upper witness)}) of
+    one shape's programs, by the proofs of lp_bounds.
+
+    The binding down-set is the one whose gap is g, None without
+    monotonicity.  The gaps and the coupling run on the cells' integer
+    numerators over one common denominator.
+    """
     cond = cells.cond
-    return any(
-        sum(cond[(t, s, 1)] for t, s in down) > sum(cond[(t, s, 0)] for t, s in down)
-        for down in _DOWN_SETS[dropped]
-    )
+    if not monotone:
+        down, up = _product_witnesses(cond)
+        return Fraction(0), None, {"x0": (up, down), "x1": (down, up)}
+    den = math.lcm(*(v.denominator for v in cond.values()))
+    num = {cell: v.numerator * (den // v.denominator) for cell, v in cond.items()}
+    gaps = _x1_lower_terms(lambda *cell: num[cell])
+    worst = min(_KEPT[dropped], key=gaps.__getitem__)
+    if gaps[worst] < 0:
+        down_set = _DOWN_SETS[worst]
+        measured = sum(num[u + (1,)] for u in down_set)
+        raise InfeasibleError(
+            "observed cells are inconsistent with the monotone response-type model",
+            down_set=down_set,
+            measured=Fraction(measured, den),
+            threshold=Fraction(measured + gaps[worst], den),
+        )
+    best = max(_KEPT[dropped], key=gaps.__getitem__)
+    pair = _coupling_witnesses(num, dropped, den)
+    return Fraction(gaps[best], den), _DOWN_SETS[best], {"x0": pair, "x1": pair}
 
 
-def _bounds_from_start(prog: CounterfactualProgram, start) -> BoundsResult:
-    """lp_bounds from a phase1() start of prog's constraints, by the simplex."""
-    results = {}
-    for sense in ("min", "max"):
-        res = phase2(start, prog.objective, sense)
-        if res.status != "optimal":
-            raise SpecError(
-                f"bounded program reported {res.status}; this cannot happen "
-                "on a probability polytope"
-            )
-        results[sense] = res
-    witnesses = {
-        side: {v: m for v, m in zip(prog.variables, results[sense].witness) if m}
-        for side, sense in (("lower", "min"), ("upper", "max"))
-    }
-    return BoundsResult(
-        target=prog.target,
-        lower=results["min"].value,
-        upper=results["max"].value,
-        method="lp",
-        witnesses=witnesses,
+def _product_witnesses(cond: dict) -> tuple:
+    """The product witnesses D and U of lp_bounds.
+
+    Both hold the same 16 masses p(u | x1) * p(v | x0): D on the type
+    that shows u under x1 and v under x0 through Y-type (1,0), U on the
+    one that does so through Y-type (0,1).
+    """
+    index = _TYPE_INDEX
+    down, up = {}, {}
+    for u, v in itertools.product(_LATTICE, repeat=2):
+        mass = cond[u + (1,)] * cond[v + (0,)]
+        if mass:
+            down[(index[u[0], v[0]], index[u[1], v[1]], DECREASING)] = mass
+            up[(index[v[0], u[0]], index[v[1], u[1]], 1)] = mass
+    return down, up
+
+
+def _coupling_witnesses(num: dict, dropped, den: int) -> tuple:
+    """The low and high witnesses of lp_bounds' greedy monotone coupling of
+    the cells num / den."""
+    if dropped is None:
+        p, r = ({u: num[u + (k,)] for u in _LATTICE} for k in (0, 1))
+    else:  # fix the dropped proxy at 0 and merge its two cells
+        p, r = ({u: 0 for u in _LATTICE} for _ in (0, 1))
+        for (t, s, k), mass in num.items():
+            (p, r)[k][(t, 0) if dropped == "s" else (0, s)] += mass
+    bottom, top = (0, 0), (1, 1)
+    pairs = {(bottom, bottom): r[bottom], (top, top): p[top]}
+    rest = p[bottom] - r[bottom]
+    for v in ((0, 1), (1, 0)):
+        stay = min(p[v], r[v])
+        pairs[(v, v)] = stay
+        pairs[(v, top)] = p[v] - stay
+        pairs[(bottom, v)] = r[v] - stay
+        rest -= r[v] - stay
+    pairs[(bottom, top)] = rest
+    low, high = {}, {}
+    for (u0, u1), mass in pairs.items():
+        if mass:
+            mass = Fraction(mass, den)
+            i, j = (_TYPE_INDEX[pair] for pair in zip(u0, u1))
+            low[(i, j, 0 if u0 == u1 else 1)] = mass
+            high[(i, j, 3 if u0 == u1 else 1)] = mass
+    return low, high
+
+
+def _x1_lower_terms(p) -> tuple:
+    """The four x1 lower candidate terms, verbatim, of the reader p(i, j, k)."""
+    return (
+        p(0, 0, 0) - p(0, 0, 1),
+        p(1, 1, 1) - p(1, 1, 0),
+        p(0, 0, 0) + p(1, 0, 0) - p(0, 0, 1) - p(1, 0, 1),
+        p(0, 0, 0) + p(0, 1, 0) - p(0, 0, 1) - p(0, 1, 1),
     )
 
 
@@ -455,13 +547,7 @@ def _four_terms(cells: ObservedCells, convention: str) -> tuple:
         p(1, 0, 0) + p(1, 1, 0) + p(0, 1, 1) + p(0, 0, 1),
         p(1, 1, 0) + p(0, 0, 1) + p(1, 0, 1) + p(0, 1, 1),
     )
-    lower_x1 = (
-        p(0, 0, 0) - p(0, 0, 1),
-        p(1, 1, 1) - p(1, 1, 0),
-        p(0, 0, 0) + p(1, 0, 0) - p(0, 0, 1) - p(1, 0, 1),
-        p(0, 0, 0) + p(0, 1, 0) - p(0, 0, 1) - p(0, 1, 1),
-    )
-    return upper_x0, lower_x1
+    return upper_x0, _x1_lower_terms(p)
 
 
 def _result_pair(
@@ -541,10 +627,11 @@ def stratified_bounds(
 class CertificationReport:
     """LP and closed forms on the same input, with the LP authoritative.
 
-    lp maps target -> BoundsResult, or None when that program is
-    infeasible; closed maps target -> BoundsResult (conditional reading),
-    flagged not-applicable when monotone is False; deltas maps target ->
-    (closed lower - lp lower, closed upper - lp upper) where both exist.
+    lp maps target -> BoundsResult, the LP optimum proved by exact
+    certificates, or None when that program is infeasible; closed maps
+    target -> BoundsResult (conditional reading), flagged not-applicable
+    when monotone is False; deltas maps target -> (closed lower - lp
+    lower, closed upper - lp upper) where both exist.
     """
 
     monotone: bool
@@ -556,22 +643,29 @@ class CertificationReport:
 
 
 def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationReport:
-    """Run both bound computations and compare them exactly.
+    """The sharp bounds and the closed forms of both targets, compared exactly.
 
-    The two targets' programs differ only in the objective, so one phase 1
-    serves both; each lp entry equals lp_bounds of its program.
+    Each lp entry equals lp_bounds of its two-proxy program, and is proved
+    against build_program's 0/1 rows before it is reported (SpecError if a
+    certificate fails): every witness has positive masses, meets every
+    equality row and attains its endpoint, and a dual vector bounds each
+    endpoint by weak duality; an infeasible program is proved so by the
+    Farkas ray of its violated down-set.  The closed forms' x1 lower terms
+    are the gaps lp_bounds reads, so on feasible cells they agree.
     """
-    progs = [build_program(cells, monotone=monotone, target=t) for t in TARGETS]
-    start = phase1(progs[0].lp("min"))
-    lp_out = {
-        prog.target: None if start is None else _bounds_from_start(prog, start)
-        for prog in progs
-    }
-    status = "optimal" if start is not None else "infeasible"
     closed = {
         res.target: res if monotone else replace(res, applicable=False)
         for res in closed_form_bounds(cells, convention="conditional")
     }
+    progs = [build_program(cells, monotone=monotone, target=t) for t in TARGETS]
+    try:
+        g, binding, witnesses = _sharp(cells, monotone, None)
+    except InfeasibleError as exc:
+        _check_farkas(progs[0], exc.down_set)
+        lp_out = dict.fromkeys(TARGETS)
+    else:
+        lp_out = {t: _lp_result(t, g, witnesses[t]) for t in TARGETS}
+        _check_certificates(progs, lp_out, binding)
     deltas = {}
     for target in TARGETS:
         if lp_out[target] is None or not closed[target].applicable:
@@ -586,5 +680,103 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
         lp=lp_out,
         closed=closed,
         deltas=deltas,
-        lp_status=status,
+        lp_status="infeasible" if lp_out["x0"] is None else "optimal",
     )
+
+
+def _check_certificates(progs: Sequence, results: dict, binding) -> None:
+    """Raise SpecError unless exact certificates prove every endpoint.
+
+    progs are one shape's programs of one cell set, results maps each
+    target to its lp answer, and binding is the down-set of the monotone
+    dual vectors.  The rows do not depend on the target, so each witness
+    is checked against them once, in integers over one common denominator.
+    """
+    if any(prog.equalities != progs[0].equalities for prog in progs):
+        raise SpecError("the targets' programs have different rows")
+    rows = [row for row, _ in progs[0].equalities]
+    rhs = [b for _, b in progs[0].equalities]
+    column = _columns(bool(progs[0].monotone))
+    witnesses = {
+        id(w): w for res in results.values() for w in res.witnesses.values()
+    }
+    den = math.lcm(
+        *(b.denominator for b in rhs),
+        *(m.denominator for w in witnesses.values() for m in w.values()),
+    )
+    b = [v.numerator * (den // v.denominator) for v in rhs]
+    scaled = {}
+    for key, witness in witnesses.items():
+        x = [
+            (column.get(v), m.numerator * (den // m.denominator))
+            for v, m in witness.items()
+        ]
+        if (
+            any(c is None or m <= 0 for c, m in x)
+            or any(sum(row[c] * m for c, m in x) != bi for row, bi in zip(rows, b))
+        ):
+            raise SpecError("a witness is not a feasible type distribution")
+        scaled[key] = x
+    for prog in progs:
+        res = results[prog.target]
+        for side, value in (("lower", res.lower), ("upper", res.upper)):
+            x = scaled[id(res.witnesses[side])]
+            y = _dual_vector(prog.monotone, prog.dropped, prog.target, side, binding)
+            for total in (
+                sum(prog.objective[c] * m for c, m in x),
+                sum(yi * bi for yi, bi in zip(y, b) if yi),
+            ):
+                if total * value.denominator != value.numerator * den:
+                    raise SpecError(
+                        f"{prog.target} {side} {value} is not proved by its "
+                        "witness and dual vector"
+                    )
+
+
+def _check_farkas(prog: CounterfactualProgram, down_set: tuple) -> None:
+    """Raise SpecError unless down_set's Farkas ray proves prog infeasible."""
+    y = _dual_vector(prog.monotone, prog.dropped, None, "lower", down_set)
+    if sum(yi * b for yi, (_, b) in zip(y, prog.equalities) if yi) <= 0:
+        raise SpecError(f"down-set {down_set} does not prove infeasibility")
+
+
+@functools.cache
+def _columns(monotone: bool) -> dict:
+    """Each variable of a shape's programs -> its column index."""
+    return {v: c for c, v in enumerate(_constraints(monotone, None)[0])}
+
+
+@functools.cache
+def _dual_vector(monotone, dropped, target, side, down_set) -> tuple:
+    """The dual vector of lp_bounds' proof of one endpoint, checked on every
+    column of the shape once (SpecError if it fails).
+
+    side "lower" is the min, with A^T y <= c, and "upper" the max, with
+    A^T y >= c; target None asks for the Farkas ray of down_set, with
+    A^T y <= 0.
+    """
+    variables, rows, row_cells = _constraints(bool(monotone), dropped)
+    norm = (1,) + (0,) * (len(rows) - 1)
+    if down_set is None:
+        y_l = (0,) * len(rows)
+    else:  # +1 on the x0 rows of the down-set, -1 on its x1 rows
+        y_l = (0,) + tuple(
+            (1 if a[2] == 0 else -1)
+            if all(cell[:2] in down_set for cell in (a, b) if cell) else 0
+            for a, b in row_cells
+        )
+    if target is None:
+        y, c = tuple(-v for v in y_l), (0,) * len(variables)
+    else:
+        c = _objective(bool(monotone), target)
+        if side == "lower":
+            y = y_l if monotone and target == "x1" else (0,) * len(rows)
+        else:
+            y = norm
+            if monotone and target == "x0":
+                y = tuple(n - v for n, v in zip(norm, y_l))
+    sign = 1 if side == "lower" else -1
+    for col, cost in enumerate(c):
+        if sign * (sum(row[col] * yi for row, yi in zip(rows, y)) - cost) > 0:
+            raise SpecError(f"dual vector {y} is infeasible at column {variables[col]}")
+    return y

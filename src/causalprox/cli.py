@@ -405,16 +405,15 @@ def cmd_bounds(args) -> int:
                 )
     elif args.method == "lp":
         label = "sharp LP"
-        progs = [
-            bounds_mod.build_program(cells, monotone=args.monotone, target=target)
-            for target in bounds_mod.TARGETS
-        ]
         try:
-            pair = [bounds_mod.lp_bounds(prog) for prog in progs]
+            pair = bounds_mod.sharp_bounds(cells, monotone=args.monotone)
         except err.InfeasibleError as exc:
             outputs["error"] = {
                 "code": "E_INFEASIBLE",
                 "message": str(exc),
+                "down_set": [list(value) for value in exc.down_set],
+                "measured": rational_json(exc.measured),
+                "threshold": rational_json(exc.threshold),
             }
             lines.append(f"bounds infeasible: {exc}")
             status = EXIT_IDENT

@@ -115,7 +115,18 @@ class NoCriterionError(CausalProxError):
 
 
 class InfeasibleError(CausalProxError):
-    """The observed table is inconsistent with the response-type model."""
+    """The observed table is inconsistent with the response-type model.
+
+    ``down_set`` is the (t, s) values of a down-set L of the proxies whose
+    mass rises from x0 to x1, which no monotone model allows: ``measured``
+    is P(L | x1) and ``threshold`` is P(L | x0).
+    """
+
+    def __init__(self, message, down_set=None, measured=None, threshold=None):
+        super().__init__(message)
+        self.down_set = down_set
+        self.measured = measured
+        self.threshold = threshold
 
 
 class SizeError(CausalProxError):

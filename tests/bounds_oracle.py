@@ -8,9 +8,9 @@ rebuilds every row and the objective from the response map on each call,
 and `cells_per_mass` reads every cell with one `mass` lookup and a
 division.  Tests require the package's results to equal theirs with `==`.
 
-`random_cells` draws seeded test cells, `support` cuts a simplex witness
-down to its positive masses, and `assert_attaining_support` checks a
-witness that no simplex produced against the per-call program.
+`random_cells` draws seeded test cells, and `assert_attaining_support`
+checks a witness, which no simplex produced, against the per-call
+program.
 """
 
 import itertools
@@ -134,11 +134,6 @@ def random_cells(rng):
         for (i, j), w in zip(itertools.product((0, 1), (0, 1)), weights):
             cond[(i, j, k)] = Fraction(w, sum(weights))
     return ObservedCells(cond=cond)
-
-
-def support(variables, witness) -> dict:
-    """A dense simplex witness as its support: the types with positive mass."""
-    return {v: m for v, m in zip(variables, witness) if m}
 
 
 def assert_attaining_support(prog: CounterfactualProgram, res: BoundsResult):

@@ -1,11 +1,12 @@
-"""lp_bounds without the simplex where the answer is known in closed form.
+"""lp_bounds without the simplex, on every program shape.
 
 Unrestricted programs are answered with [0, 1] and two product witnesses,
-and monotone cells that break a stochastic-order condition are rejected
-before phase 1.  These tests hold both shortcuts to the Fraction simplex
+monotone cells that break a stochastic-order condition are rejected, and
+every other monotone program is answered in closed form with greedy
+coupling witnesses.  These tests hold each answer to the Fraction simplex
 (tests/simplex_oracle.py) and to the per-call program
-(tests/bounds_oracle.py), count the phase 1 calls they skip, and check
-that every witness is a support.
+(tests/bounds_oracle.py), check that the simplex of causalprox.lp never
+runs, and check that every witness is a support.
 """
 
 import itertools
@@ -13,10 +14,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from bounds_oracle import assert_attaining_support, random_cells, support
+from bounds_oracle import assert_attaining_support, random_cells
 from simplex_oracle import oracle_solve
 
-import causalprox.bounds as bounds_mod
+import causalprox.lp as lp_mod
 from causalprox import (
     InfeasibleError,
     ObservedCells,
@@ -32,16 +33,18 @@ MESSAGE = "observed cells are inconsistent with the monotone response-type model
 
 
 @pytest.fixture
-def phase1_calls(monkeypatch):
-    """The list of programs bounds.phase1 is called on."""
+def simplex_calls(monkeypatch):
+    """The list of calls to causalprox.lp's phase1 and phase2, which every
+    simplex solve goes through."""
     calls = []
-    real = bounds_mod.phase1
+    for name in ("phase1", "phase2"):
+        real = getattr(lp_mod, name)
 
-    def counting(lp):
-        calls.append(lp)
-        return real(lp)
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
 
-    monkeypatch.setattr(bounds_mod, "phase1", counting)
+        monkeypatch.setattr(lp_mod, name, counting)
     return calls
 
 
@@ -67,7 +70,16 @@ def order_conditions(cells):
     )
 
 
-def test_unrestricted_shapes_need_no_simplex(phase1_calls):
+def breaks_order(cells, drop):
+    """True when cells break a condition of the kept proxies: any of the
+    four with two proxies, P(T=0|x1) <= P(T=0|x0) keeping T (drop s) and
+    P(S=0|x1) <= P(S=0|x0) keeping S (drop t)."""
+    kept = {None: (0, 1, 2, 3), "s": (1,), "t": (2,)}[drop]
+    holds = order_conditions(cells)
+    return not all(holds[n] for n in kept)
+
+
+def test_unrestricted_shapes_need_no_simplex(simplex_calls):
     """Seeded random cells plus two arbitrary pairs of arms, one with zero
     cells in both arms."""
     rng = random.Random(2001)
@@ -80,12 +92,13 @@ def test_unrestricted_shapes_need_no_simplex(phase1_calls):
             assert (res.lower, res.upper) == tuple(w.value for w in want)
             assert (res.lower, res.upper) == (0, 1)
             assert_attaining_support(prog, res)
-    assert phase1_calls == []
+    assert simplex_calls == []
 
 
-def test_pretest_is_sound_on_every_monotone_shape(phase1_calls):
-    """A rejection means the Fraction simplex finds the program infeasible;
-    a pass gives the simplex's own answer, witness supports included."""
+def test_pretest_is_sound_on_every_monotone_shape(simplex_calls):
+    """The order test is exact: a rejection means the Fraction simplex finds
+    the program infeasible, and a pass means it is feasible, with the
+    simplex's optimal values and attaining witnesses, and no simplex run."""
     rng = random.Random(2002)
     outcomes = {"rejected": 0, "passed": 0}
     for _ in range(30):
@@ -93,26 +106,18 @@ def test_pretest_is_sound_on_every_monotone_shape(phase1_calls):
         for drop, target in itertools.product(DROPS, TARGETS):
             prog = build_program(cells, True, target, drop_proxy=drop)
             lower, upper = (oracle_solve(prog.lp(s)) for s in ("min", "max"))
-            phase1_calls.clear()
-            if bounds_mod._breaks_order(cells, drop):
+            if breaks_order(cells, drop):
                 assert lower.status == upper.status == "infeasible"
                 with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
                     lp_bounds(prog)
-                assert phase1_calls == []
                 outcomes["rejected"] += 1
                 continue
             outcomes["passed"] += 1
-            if lower.status == "infeasible":
-                with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
-                    lp_bounds(prog)
-                continue
+            assert lower.status == upper.status == "optimal"
             res = lp_bounds(prog)
-            assert len(phase1_calls) == 1
             assert (res.lower, res.upper) == (lower.value, upper.value)
-            assert res.witnesses == {
-                "lower": support(prog.variables, lower.witness),
-                "upper": support(prog.variables, upper.witness),
-            }
+            assert_attaining_support(prog, res)
+    assert simplex_calls == []
     assert min(outcomes.values()) > 20
 
 
@@ -125,22 +130,35 @@ ONE_BROKEN = {
     "S=0": (X0, (2, 1, 4, 3)),
     "p11": (X0, (1, 4, 4, 1)),
 }
+# the down-set of (t, s) values each condition is about, and the masses
+# P(L|x1) > P(L|x0) that break it
+BROKEN_DOWN_SETS = {
+    "p00": (((0, 0),), F(3, 10), F(2, 10)),
+    "T=0": (((0, 0), (0, 1)), F(6, 10), F(5, 10)),
+    "S=0": (((0, 0), (1, 0)), F(6, 10), F(5, 10)),
+    "p11": (((0, 0), (0, 1), (1, 0)), F(9, 10), F(8, 10)),
+}
 
 
 @pytest.mark.parametrize("broken", range(4), ids=list(ONE_BROKEN))
-def test_each_two_proxy_condition_rejects_alone(phase1_calls, broken):
+def test_each_two_proxy_condition_rejects_alone(simplex_calls, broken):
+    """The error carries the broken condition's down-set and its masses."""
     cells = arms(*list(ONE_BROKEN.values())[broken])
     assert order_conditions(cells) == tuple(i != broken for i in range(4))
+    down_set, measured, threshold = list(BROKEN_DOWN_SETS.values())[broken]
     for target in TARGETS:
         prog = build_program(cells, True, target)
         assert oracle_solve(prog.lp("min")).status == "infeasible"
-        with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
+        with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$") as exc:
             lp_bounds(prog)
-    assert phase1_calls == []
+        got = exc.value
+        assert set(got.down_set) == set(down_set)
+        assert (got.measured, got.threshold) == (measured, threshold)
+    assert simplex_calls == []
 
 
 @pytest.mark.parametrize("drop, broken", [("s", "T=0"), ("t", "S=0")])
-def test_one_proxy_condition_rejects(phase1_calls, drop, broken):
+def test_one_proxy_condition_rejects(simplex_calls, drop, broken):
     """Keeping T (drop s), P(T=0|x1) > P(T=0|x0) is infeasible; keeping S,
     P(S=0|x1) > P(S=0|x0) is.  The other proxy's program is then feasible."""
     cells = arms(*ONE_BROKEN[broken])
@@ -149,12 +167,11 @@ def test_one_proxy_condition_rejects(phase1_calls, drop, broken):
         assert oracle_solve(prog.lp("min")).status == "infeasible"
         with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
             lp_bounds(prog)
-        assert phase1_calls == []
+        assert simplex_calls == []
         other = build_program(cells, True, target, drop_proxy="t" if drop == "s" else "s")
         assert oracle_solve(other.lp("min")).status == "optimal"
-        lp_bounds(other)
-        assert len(phase1_calls) == 1
-        phase1_calls.clear()
+        assert_attaining_support(other, lp_bounds(other))
+    assert simplex_calls == []
 
 
 def test_no_witness_holds_a_zero_mass():
@@ -178,7 +195,7 @@ def test_no_witness_holds_a_zero_mass():
 
 
 @pytest.mark.slow
-def test_shortcuts_wide_sweep(phase1_calls):
+def test_shortcuts_wide_sweep(simplex_calls):
     """3000 cell sets on all twelve shapes against the integer simplex,
     which equals the Fraction simplex on every build_program variant
     (tests/test_lp.py)."""
@@ -189,21 +206,15 @@ def test_shortcuts_wide_sweep(phase1_calls):
         for monotone, drop, target in itertools.product((True, False), DROPS, TARGETS):
             prog = build_program(cells, monotone, target, drop_proxy=drop)
             lower, upper = (solve(prog.lp(s)) for s in ("min", "max"))
-            phase1_calls.clear()
+            simplex_calls.clear()
             if lower.status == "infeasible":
                 assert monotone
                 with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
                     lp_bounds(prog)
-                rejected += not phase1_calls
+                rejected += not simplex_calls
                 continue
             res = lp_bounds(prog)
+            assert simplex_calls == []
             assert (res.lower, res.upper) == (lower.value, upper.value)
-            if monotone:
-                assert res.witnesses == {
-                    "lower": support(prog.variables, lower.witness),
-                    "upper": support(prog.variables, upper.witness),
-                }
-            else:
-                assert phase1_calls == []
-                assert_attaining_support(prog, res)
+            assert_attaining_support(prog, res)
     assert rejected > 1000

@@ -3,13 +3,14 @@
 build_program builds each shape's variables, coefficient rows and
 objective once, lp.phase1 and lp.phase2 reuse the integer rows and scaled
 objective of any matrix and objective equal in value to one they have
-seen, certify_against_lp runs one phase 1 for both targets and
-cells_from_table reads the marginal's numerators in one pass.  These
-tests hold each of them to the per-call code it replaced
-(tests/bounds_oracle.py, tests/simplex_oracle.py) with ``==``, and check
-that no cell data survives from one call to the next.  lp_bounds answers
-unrestricted programs in closed form, so there its values are compared
-with ``==`` and its witnesses are checked to be valid and attaining.
+seen, certify_against_lp proves both targets' answers with one check of
+each witness and runs no simplex, and cells_from_table reads the
+marginal's numerators in one pass.  These tests hold each of them to the
+per-call code it replaced (tests/bounds_oracle.py,
+tests/simplex_oracle.py) with ``==``, and check that no cell data survives
+from one call to the next.  lp_bounds answers every program in closed
+form, so its values are compared with ``==`` and its witnesses, which
+need not be the simplex's vertices, are checked to be valid and attaining.
 """
 
 import itertools
@@ -24,11 +25,9 @@ from bounds_oracle import (
     build_program_per_call,
     cells_per_mass,
     random_cells,
-    support,
 )
 from simplex_oracle import oracle_solve
 
-import causalprox.bounds as bounds_mod
 import causalprox.lp as lp_mod
 from causalprox import (
     InfeasibleError,
@@ -41,6 +40,7 @@ from causalprox import (
     certify_against_lp,
     lp_bounds,
     make_program,
+    sharp_bounds,
     solve,
 )
 from causalprox.bounds import cells_from_types
@@ -49,25 +49,19 @@ SHAPES = list(itertools.product((True, False), (None, "s", "t"), ("x0", "x1")))
 
 
 def oracle_bounds(cells, monotone, target, drop):
-    """(lower, upper, witness supports) from the per-call program and the
-    Fraction simplex, or None when infeasible."""
+    """(lower, upper) from the per-call program and the Fraction simplex, or
+    None when infeasible."""
     prog = build_program_per_call(cells, monotone, target, drop_proxy=drop)
     lower, upper = (oracle_solve(prog.lp(sense)) for sense in ("min", "max"))
     if lower.status == "infeasible":
         assert upper.status == "infeasible"
         return None
-    witnesses = {
-        "lower": support(prog.variables, lower.witness),
-        "upper": support(prog.variables, upper.witness),
-    }
-    return lower.value, upper.value, witnesses
+    return lower.value, upper.value
 
 
 def assert_lp_bounds_match_oracle(cells, monotone, target, drop):
-    """lp_bounds against oracle_bounds: the whole answer, witness supports
-    included, on monotone programs; on unrestricted ones, which lp_bounds
-    solves in closed form, the values exactly and valid attaining supports.
-    Returns the oracle's answer."""
+    """lp_bounds against oracle_bounds: the values exactly, and valid
+    attaining supports.  Returns the oracle's answer."""
     want = oracle_bounds(cells, monotone, target, drop)
     prog = build_program(cells, monotone, target, drop_proxy=drop)
     try:
@@ -75,12 +69,8 @@ def assert_lp_bounds_match_oracle(cells, monotone, target, drop):
     except InfeasibleError:
         assert want is None
         return want
-    assert want is not None
-    if monotone:
-        assert (res.lower, res.upper, res.witnesses) == want
-    else:
-        assert (res.lower, res.upper) == want[:2]
-        assert_attaining_support(prog, res)
+    assert (res.lower, res.upper) == want
+    assert_attaining_support(prog, res)
     return want
 
 
@@ -129,7 +119,9 @@ def test_interleaved_cell_sets_leave_no_data_behind():
             for target in ("x0", "x1"):
                 got = report.lp[target]
                 want = oracle_bounds(cells, monotone, target, None)
-                assert want == (None if got is None else (got.lower, got.upper, got.witnesses))
+                assert want == (None if got is None else (got.lower, got.upper))
+                if got is not None:
+                    assert_attaining_support(build_program(cells, monotone, target), got)
     assert 0 < infeasible < 3 * len(SHAPES)
 
 
@@ -188,44 +180,36 @@ def test_phase1_and_phase2_memoize_by_value():
     assert (objectives.misses, objectives.hits, objectives.currsize) == (2, 4, 2)
 
 
-def test_certify_runs_one_phase1(monkeypatch):
-    calls = []
-    real = bounds_mod.phase1
+def test_certify_runs_no_simplex(monkeypatch):
+    """certify_against_lp proves its answers with no simplex run: its lp
+    entries are those of lp_bounds, and sharp_bounds gives the same pair."""
 
-    def counting(lp):
-        calls.append(lp)
-        return real(lp)
+    def no_simplex(*args):
+        raise AssertionError("the simplex ran")
 
-    monkeypatch.setattr(bounds_mod, "phase1", counting)
+    monkeypatch.setattr(lp_mod, "phase1", no_simplex)
+    monkeypatch.setattr(lp_mod, "phase2", no_simplex)
     rng = random.Random(805)
     statuses = set()
     for _ in range(12):
         cells = random_cells(rng)
         for monotone in (True, False):
-            calls.clear()
             report = certify_against_lp(cells, monotone)
-            assert len(calls) == 1
             statuses.add(report.lp_status)
-            for target in ("x0", "x1"):
+            try:
+                pair = sharp_bounds(cells, monotone)
+            except InfeasibleError:
+                pair = (None, None)
+            for target, both in zip(("x0", "x1"), pair):
                 prog = build_program(cells, monotone, target)
                 got = report.lp[target]
+                assert got == both
                 if got is None:
                     with pytest.raises(InfeasibleError):
                         lp_bounds(prog)
-                elif monotone:
-                    assert got == lp_bounds(prog)
                 else:
-                    # lp_bounds answers in closed form; certify keeps the simplex
-                    res = lp_bounds(prog)
-                    assert (got.lower, got.upper) == (res.lower, res.upper)
-                    assert got.witnesses == {
-                        side: support(prog.variables, w.witness)
-                        for side, w in (
-                            ("lower", solve(prog.lp("min"))),
-                            ("upper", solve(prog.lp("max"))),
-                        )
-                    }
-                    assert_attaining_support(prog, res)
+                    assert got == lp_bounds(prog)
+                    assert_attaining_support(prog, got)
     assert statuses == {"optimal", "infeasible"}
 
 
