@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 from .errors import FormatError, InfeasibleError, SpecError, ZeroMassError
 from .lp import LinearProgram
 from .ratio import parse_rational
-from .table import JointTable
+from .table import JointTable, lcm_numerators
 
 TYPE_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 DECREASING = 2  # index of the (1, 0) type excluded under monotonicity
@@ -51,6 +51,8 @@ MONOTONE_INDICES = tuple(
     idx for idx in ALL_INDICES if DECREASING not in idx
 )
 TARGETS = ("x0", "x1")
+_LATTICE = ((0, 0), (0, 1), (1, 0), (1, 1))  # the proxies' (t, s) values
+ZERO, ONE = Fraction(0), Fraction(1)
 
 
 def response(index: tuple, x: int) -> tuple:
@@ -79,6 +81,11 @@ class ObservedCells:
     cond maps (i, j, k) with i the t index, j the s index, k the arm to an
     exact conditional probability; x_dist is (f(x0), f(x1)) when known
     (required only by the joint reading of the closed forms).
+
+    cond is read-only: the instance keeps its own copy, and with it each
+    cell's integer numerator over the cells' common denominator, which
+    every bounds evaluator reads.  Editing the dict passed in changes
+    neither.
     """
 
     cond: dict
@@ -86,19 +93,20 @@ class ObservedCells:
     names: tuple = ("T", "S", "X")
 
     def __post_init__(self):
+        ratios = {}  # cell -> (numerator, denominator)
         for k in (0, 1):
-            arm = []
-            for i, j in itertools.product((0, 1), (0, 1)):
+            for i, j in _LATTICE:
                 if (i, j, k) not in self.cond:
                     raise FormatError(f"missing cell ({i}, {j}, {k})")
                 v = self.cond[(i, j, k)]
                 if not isinstance(v, Fraction):
                     raise FormatError("cells must be exact rationals")
-                if v.numerator < 0:
+                n, d = ratios[(i, j, k)] = v.as_integer_ratio()
+                if n < 0:
                     raise FormatError(f"cell ({i}, {j}, {k}) is negative")
-                arm.append(v)
-            den = math.lcm(*(v.denominator for v in arm))
-            total = sum(v.numerator * (den // v.denominator) for v in arm)
+            arm = [ratios[u + (k,)] for u in _LATTICE]
+            den = math.lcm(*(d for _, d in arm))
+            total = sum(n * (den // d) for n, d in arm)
             if total != den:
                 raise FormatError(
                     f"cells for arm {k} sum to {Fraction(total, den)}, "
@@ -107,10 +115,19 @@ class ObservedCells:
         if len(self.cond) != 8:
             raise FormatError("exactly eight cells expected")
         if self.x_dist is not None:
-            if len(self.x_dist) != 2 or any(p < 0 for p in self.x_dist):
+            if len(self.x_dist) != 2 or any(
+                not isinstance(p, (int, Fraction)) or p < 0 for p in self.x_dist
+            ):
                 raise FormatError("x_dist must be two nonnegative rationals")
             if sum(self.x_dist) != 1:
                 raise FormatError("x_dist must sum to exactly 1")
+        den = math.lcm(*(d for _, d in ratios.values()))
+        # not dataclass fields, so ==, repr and replace see only the cells
+        object.__setattr__(self, "cond", dict(self.cond))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(
+            self, "_num", {c: n * (den // d) for c, (n, d) in ratios.items()}
+        )
 
     def read(self, i: int, j: int, k: int, convention: str) -> Fraction:
         """One cell under the requested symbol reading."""
@@ -142,11 +159,15 @@ def cells_from_table(
                 f"{var!r} must be dichotomous, has "
                 f"{len(table.categories(var))} categories"
             )
-    margin = table.marginal([t_var, s_var, x_var])
-    axes = [margin.variables.index(v) for v in (t_var, s_var, x_var)]
-    num = margin.num.transpose(axes).tolist()  # integer numerators, [t][s][x]
+    axes = [table._axis(v) for v in (t_var, s_var, x_var)]
+    num = table.num
+    others = tuple(a for a in range(num.ndim) if a not in axes)
+    if others:  # sum the other variables out; the three keep their order
+        num = num.sum(axis=others)
+        axes = [sorted(axes).index(a) for a in axes]
+    num = num.transpose(axes).tolist()  # integer numerators, [t][s][x]
     arms = [sum(num[i][j][k] for i in (0, 1) for j in (0, 1)) for k in (0, 1)]
-    x_dist = tuple(Fraction(n, margin.den) for n in arms)
+    x_dist = tuple(Fraction(n, table.den) for n in arms)
     cond = {}
     for k, x_cat in enumerate(table.categories(x_var)):
         if arms[k] == 0:
@@ -279,7 +300,7 @@ def build_program(
         raise FormatError(f"drop_proxy must be None, 's' or 't', got {drop_proxy!r}")
     variables, rows, rhs_cells = _constraints(bool(monotone), drop_proxy)
     cond = cells.cond
-    rhs = [Fraction(1)] + [
+    rhs = [ONE] + [
         cond[a] if b is None else cond[a] + cond[b] for a, b in rhs_cells
     ]
     return CounterfactualProgram(
@@ -424,7 +445,7 @@ def sharp_bounds(
 
 def _lp_result(target: str, g: Fraction, pair: tuple) -> BoundsResult:
     """x0 in [0, 1 - g] or x1 in [g, 1], with pair = (lower, upper) witness."""
-    lower, upper = (Fraction(0), 1 - g) if target == "x0" else (g, Fraction(1))
+    lower, upper = (ZERO, 1 - g) if target == "x0" else (g, ONE)
     return BoundsResult(
         target=target,
         lower=lower,
@@ -446,7 +467,16 @@ _DOWN_SETS = (
 # the down-sets of the kept proxies' values, by dropped proxy
 _KEPT = {None: (0, 1, 2, 3), "s": (3,), "t": (2,)}
 _TYPE_INDEX = {pair: n for n, pair in enumerate(TYPE_PAIRS)}
-_LATTICE = ((0, 0), (0, 1), (1, 0), (1, 1))
+# (u under x1, v under x0, D's type, U's type) for each pair of cells
+_PRODUCT_TYPES = tuple(
+    (
+        u + (1,),
+        v + (0,),
+        (_TYPE_INDEX[u[0], v[0]], _TYPE_INDEX[u[1], v[1]], DECREASING),
+        (_TYPE_INDEX[v[0], u[0]], _TYPE_INDEX[v[1], u[1]], 1),
+    )
+    for u, v in itertools.product(_LATTICE, repeat=2)
+)
 
 
 def _sharp(cells: ObservedCells, monotone: bool, dropped) -> tuple:
@@ -454,16 +484,14 @@ def _sharp(cells: ObservedCells, monotone: bool, dropped) -> tuple:
     one shape's programs, by the proofs of lp_bounds.
 
     The binding down-set is the one whose gap is g, None without
-    monotonicity.  The gaps and the coupling run on the cells' integer
-    numerators over one common denominator.
+    monotonicity.  The gaps, the coupling and the product masses run on
+    the cells' integer numerators over their common denominator.
     """
-    cond = cells.cond
+    num, den = cells._num, cells._den
     if not monotone:
-        down, up = _product_witnesses(cond)
-        return Fraction(0), None, {"x0": (up, down), "x1": (down, up)}
-    den = math.lcm(*(v.denominator for v in cond.values()))
-    num = {cell: v.numerator * (den // v.denominator) for cell, v in cond.items()}
-    gaps = _x1_lower_terms(lambda *cell: num[cell])
+        down, up = _product_witnesses(num, den)
+        return ZERO, None, {"x0": (up, down), "x1": (down, up)}
+    gaps = _x1_lower_terms(num)
     worst = min(_KEPT[dropped], key=gaps.__getitem__)
     if gaps[worst] < 0:
         down_set = _DOWN_SETS[worst]
@@ -479,20 +507,19 @@ def _sharp(cells: ObservedCells, monotone: bool, dropped) -> tuple:
     return Fraction(gaps[best], den), _DOWN_SETS[best], {"x0": pair, "x1": pair}
 
 
-def _product_witnesses(cond: dict) -> tuple:
-    """The product witnesses D and U of lp_bounds.
+def _product_witnesses(num: dict, den: int) -> tuple:
+    """The product witnesses D and U of lp_bounds of the cells num / den.
 
     Both hold the same 16 masses p(u | x1) * p(v | x0): D on the type
     that shows u under x1 and v under x0 through Y-type (1,0), U on the
     one that does so through Y-type (0,1).
     """
-    index = _TYPE_INDEX
+    square = den * den
     down, up = {}, {}
-    for u, v in itertools.product(_LATTICE, repeat=2):
-        mass = cond[u + (1,)] * cond[v + (0,)]
+    for x1_cell, x0_cell, d, u in _PRODUCT_TYPES:
+        mass = num[x1_cell] * num[x0_cell]
         if mass:
-            down[(index[u[0], v[0]], index[u[1], v[1]], DECREASING)] = mass
-            up[(index[v[0], u[0]], index[v[1], u[1]], 1)] = mass
+            down[d] = up[u] = Fraction(mass, square)
     return down, up
 
 
@@ -525,41 +552,60 @@ def _coupling_witnesses(num: dict, dropped, den: int) -> tuple:
     return low, high
 
 
-def _x1_lower_terms(p) -> tuple:
-    """The four x1 lower candidate terms, verbatim, of the reader p(i, j, k)."""
+def _x1_lower_terms(p: dict) -> tuple:
+    """The four x1 lower candidate terms, verbatim, of the cells p[i, j, k]."""
     return (
-        p(0, 0, 0) - p(0, 0, 1),
-        p(1, 1, 1) - p(1, 1, 0),
-        p(0, 0, 0) + p(1, 0, 0) - p(0, 0, 1) - p(1, 0, 1),
-        p(0, 0, 0) + p(0, 1, 0) - p(0, 0, 1) - p(0, 1, 1),
+        p[0, 0, 0] - p[0, 0, 1],
+        p[1, 1, 1] - p[1, 1, 0],
+        p[0, 0, 0] + p[1, 0, 0] - p[0, 0, 1] - p[1, 0, 1],
+        p[0, 0, 0] + p[0, 1, 0] - p[0, 0, 1] - p[0, 1, 1],
     )
 
 
 def _four_terms(cells: ObservedCells, convention: str) -> tuple:
-    """The four x0 upper and the four x1 lower candidate terms, verbatim."""
+    """The four x0 upper and the four x1 lower candidate terms.
 
-    def p(i, j, k):
-        return cells.read(i, j, k, convention)
-
-    upper_x0 = (
-        p(0, 1, 0) + p(1, 0, 0) + p(1, 1, 0) + p(0, 0, 1),
-        p(0, 1, 0) + p(1, 1, 0) + p(1, 0, 1) + p(0, 0, 1),
-        p(1, 0, 0) + p(1, 1, 0) + p(0, 1, 1) + p(0, 0, 1),
-        p(1, 1, 0) + p(0, 0, 1) + p(1, 0, 1) + p(0, 1, 1),
+    Both readings are evaluated on integer numerators over one
+    denominator, and one Fraction is built per term.  Under the
+    conditional reading each arm's cells sum to 1, so the x0 upper terms
+    are 1 minus the x1 lower terms 0, 2, 3 and 1; the joint reading sums
+    them verbatim.
+    """
+    if convention == "conditional":
+        num, den = cells._num, cells._den
+        lower = _x1_lower_terms(num)
+        upper = tuple(den - lower[n] for n in (0, 2, 3, 1))
+    elif convention == "joint-compat":
+        if cells.x_dist is None:
+            raise FormatError("the joint-compat reading needs the treatment marginal")
+        arm, arm_den = lcm_numerators(cells.x_dist)
+        p = {cell: n * arm[cell[2]] for cell, n in cells._num.items()}
+        den = cells._den * arm_den
+        lower = _x1_lower_terms(p)
+        upper = (
+            p[0, 1, 0] + p[1, 0, 0] + p[1, 1, 0] + p[0, 0, 1],
+            p[0, 1, 0] + p[1, 1, 0] + p[1, 0, 1] + p[0, 0, 1],
+            p[1, 0, 0] + p[1, 1, 0] + p[0, 1, 1] + p[0, 0, 1],
+            p[1, 1, 0] + p[0, 0, 1] + p[1, 0, 1] + p[0, 1, 1],
+        )
+    else:
+        raise FormatError(f"unknown convention {convention!r}")
+    return (
+        tuple(Fraction(n, den) for n in upper),
+        tuple(Fraction(n, den) for n in lower),
     )
-    return upper_x0, _x1_lower_terms(p)
 
 
 def _result_pair(
-    method, convention, upper=Fraction(1), lower=Fraction(0),
+    method, convention, upper=ONE, lower=ZERO,
     terms=(None, None), applicable=True,
 ):
     """(x0 in [0, upper], x1 in [lower, 1]) with upper and lower clamped to [0, 1]."""
-    upper, lower = (min(Fraction(1), max(Fraction(0), v)) for v in (upper, lower))
+    upper, lower = (min(ONE, max(ZERO, v)) for v in (upper, lower))
     common = {"method": method, "convention": convention, "applicable": applicable}
     return (
-        BoundsResult("x0", Fraction(0), upper, terms=terms[0], **common),
-        BoundsResult("x1", lower, Fraction(1), terms=terms[1], **common),
+        BoundsResult("x0", ZERO, upper, terms=terms[0], **common),
+        BoundsResult("x1", lower, ONE, terms=terms[1], **common),
     )
 
 

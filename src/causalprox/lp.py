@@ -16,19 +16,12 @@ the original columns by one positive number and the ratios of each ratio
 test by another, so every Bland choice and the result are those of the
 rational tableau.  Scaling rows separately would reweight the phase-1
 objective and could change the pivot path.
-
-The integer rows of A and the scaled objective are memoized by value, so
-any program whose rows or objective equal earlier ones reuses them.  The
-memoized integers are those a fresh build gives and are never written, so
-the tableau, every Bland choice and the result do not change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain
 from math import lcm
 from typing import Optional
 
@@ -137,18 +130,8 @@ class _Tableau:
             self.pivot(best_r, entering)
 
 
-def _memo(build, entries):
-    """build's value-keyed cache, or build itself unless every entry is a
-    Fraction, int, bool or str: a float, Decimal or NumPy number can equal,
-    and hash as, a cached rational, and an unhashable entry cannot be looked
-    up, so those are built afresh and parse_rational raises its FormatError."""
-    exact = {Fraction, int, bool, str}.issuperset(map(type, entries))
-    return build if exact else build.__wrapped__
-
-
-@lru_cache(maxsize=16)
 def _skeleton(n, rows):
-    """(row_scale, integer rows, column sums) for a tuple of coefficient rows.
+    """(row_scale, integer rows, column sums) for the coefficient rows.
 
     Integer row r is row_scale * A[r] followed by the artificial unit
     vector e_r; the column sums cover the first n entries.
@@ -166,7 +149,6 @@ def _skeleton(n, rows):
     return row_scale, ints, colsum
 
 
-@lru_cache(maxsize=16)
 def _scaled_objective(objective, sense):
     """(gamma, c): c is gamma * objective, negated for "max", in integers."""
     sign = 1 if sense == "min" else -1
@@ -183,8 +165,7 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
     """
     n = lp.n
     m = len(lp.equalities)
-    rows = tuple(tuple(row) for row, _ in lp.equalities)
-    row_scale, prefixes, colsum = _memo(_skeleton, chain.from_iterable(rows))(n, rows)
+    row_scale, prefixes, colsum = _skeleton(n, [row for row, _ in lp.equalities])
     rhs = [parse_rational(b) for _, b in lp.equalities]
     # one scalar for every row, then one for every right-hand side
     scale = lcm(*{(b * row_scale).denominator for b in rhs})
@@ -224,7 +205,7 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
 def phase2(start: _Tableau, objective, sense: str) -> LPResult:
     """Optimize objective in sense from a phase1() start, which stays unchanged."""
     objective = tuple(objective)
-    gamma, c = _memo(_scaled_objective, objective)(objective, sense)
+    gamma, c = _scaled_objective(objective, sense)
     cost = [start.det * cj for cj in c] + [0]
     for row, b in zip(start.rows, start.basis):
         if c[b]:

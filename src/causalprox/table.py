@@ -256,32 +256,31 @@ def load_counts(source, schema=None):
             text = fh.read()
     else:
         text = source
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    rows = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
     if not rows:
         raise FormatError("empty file")
     header = [h.strip() for h in rows[0]]
     if len(header) < 2 or header[-1] not in ("count", "prob"):
         raise FormatError("header must list variables then a final 'count' or 'prob' column")
-    value_kind = header[-1]
+    counts = header[-1] == "count"
     varnames = header[:-1]
     if len(set(varnames)) != len(varnames):
         raise FormatError("duplicate variable names in header")
 
     if len(rows) == 1:
         raise EmptyDataError("no data rows")
-    cells = {}
-    seen_cats = {v: [] for v in varnames}
+    width = len(header)
+    cells = {}  # key -> count, or (numerator, denominator) of a prob
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        key = tuple(v.strip() for v in row[:-1])
-        raw = row[-1].strip()
-        if value_kind == "count":
+        if len(row) != width:
+            raise FormatError(f"line {lineno}: expected {width} fields, got {len(row)}")
+        *key, raw = map(str.strip, row)
+        key = tuple(key)
+        if counts:
             if not (raw.isascii() and raw.isdigit()):
                 raise FormatError(f"line {lineno}: count must be a nonnegative integer, got {raw!r}")
             try:
-                value = (int(raw), 1)
+                value = int(raw)
             except ValueError as exc:  # longer than int() converts
                 raise FormatError(f"line {lineno}: count too long: {exc}") from exc
         else:
@@ -298,11 +297,10 @@ def load_counts(source, schema=None):
         if key in cells:
             raise FormatError(f"line {lineno}: duplicate cell {key!r}")
         cells[key] = value
-        for var, cat in zip(varnames, key):
-            if not cat:
-                raise FormatError(f"line {lineno}: empty category label")
-            if cat not in seen_cats[var]:
-                seen_cats[var].append(cat)
+        if "" in key:
+            raise FormatError(f"line {lineno}: empty category label")
+    # cells keep row order, so each column's categories in first appearance
+    seen_cats = [dict.fromkeys(cats) for cats in zip(*cells)]
 
     if schema is not None:
         schema = _validate_schema(schema)
@@ -310,26 +308,26 @@ def load_counts(source, schema=None):
             raise SchemaMismatchError(
                 f"file variables {varnames} do not match schema {[v for v, _ in schema]}"
             )
-        declared = {v: cats for v, cats in schema}
-        for var in varnames:
-            for cat in seen_cats[var]:
-                if cat not in declared[var]:
+        for (var, declared), seen in zip(schema, seen_cats):
+            for cat in seen:
+                if cat not in declared:
                     raise UnknownVariableError(f"{cat!r} is not a declared category of {var!r}")
     else:
-        schema = tuple((v, tuple(seen_cats[v])) for v in varnames)
+        schema = tuple((v, tuple(seen)) for v, seen in zip(varnames, seen_cats))
         _validate_schema(schema)
 
     # counts are the numerators; probabilities go over their LCM
-    scale = math.lcm(*(d for _, d in cells.values()))
+    if not counts:
+        scale = math.lcm(*(d for _, d in cells.values()))
+        cells = {key: n * (scale // d) for key, (n, d) in cells.items()}
     num = np.zeros(tuple(len(cats) for _, cats in schema), dtype=object)
-    lookup = [dict((c, i) for i, c in enumerate(cats)) for _, cats in schema]
-    for key, (n, d) in cells.items():
-        idx = tuple(lookup[axis][cat] for axis, cat in enumerate(key))
-        num[idx] = n * (scale // d)
+    lookup = [{c: i for i, c in enumerate(cats)} for _, cats in schema]
+    for key, n in cells.items():
+        num[tuple(map(dict.__getitem__, lookup, key))] = n
     total = num.sum()
     if total == 0:
         raise EmptyDataError("all cells are zero")
-    if value_kind == "prob" and abs(total - scale) * 10**6 > scale:
+    if not counts and abs(total - scale) * 10**6 > scale:
         raise FormatError(f"prob column sums to {total / scale!r}; expected 1")
     return JointTable(schema, num, "rational", total)
 

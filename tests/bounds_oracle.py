@@ -1,12 +1,15 @@
 """Per-call bounds code, kept for the test suite.
 
 causalprox.bounds now builds each program's variables, coefficient rows
-and objective once per shape and reads the treatment-proxy marginal's
-integer numerators in one pass.  The functions below are the code they
+and objective once per shape, reads the three variables' integer
+numerators straight from the table, and evaluates the closed forms on
+the cells' integer numerators.  The functions below are the code they
 replaced, unchanged apart from their names: `build_program_per_call`
 rebuilds every row and the objective from the response map on each call,
-and `cells_per_mass` reads every cell with one `mass` lookup and a
-division.  Tests require the package's results to equal theirs with `==`.
+`cells_per_mass` reads every cell with one `mass` lookup and a division,
+`cells_via_marginal` reads them through a marginal table, and
+`four_terms_verbatim` sums the cells' Fractions term by term.  Tests
+require the package's results to equal theirs with `==`.
 
 `random_cells` draws seeded test cells, and `assert_attaining_support`
 checks a witness, which no simplex produced, against the per-call
@@ -59,6 +62,58 @@ def cells_per_mass(
                     / x_dist[k]
                 )
     return ObservedCells(cond=cond, x_dist=x_dist, names=(t_var, s_var, x_var))
+
+
+def cells_via_marginal(
+    table: JointTable, x_var: str, t_var: str, s_var: str
+) -> ObservedCells:
+    """Extract cells from a joint table; category order gives the 0/1 coding."""
+    if len({x_var, t_var, s_var}) != 3:
+        raise FormatError(
+            f"exposure {x_var!r} and proxies {t_var!r}, {s_var!r} must be "
+            "three distinct variables"
+        )
+    if table.mode != "rational":
+        raise FormatError("bounds require an exact (rational-mode) table")
+    for var in (x_var, t_var, s_var):
+        if len(table.categories(var)) != 2:
+            raise FormatError(
+                f"{var!r} must be dichotomous, has "
+                f"{len(table.categories(var))} categories"
+            )
+    margin = table.marginal([t_var, s_var, x_var])
+    axes = [margin.variables.index(v) for v in (t_var, s_var, x_var)]
+    num = margin.num.transpose(axes).tolist()  # integer numerators, [t][s][x]
+    arms = [sum(num[i][j][k] for i in (0, 1) for j in (0, 1)) for k in (0, 1)]
+    x_dist = tuple(Fraction(n, margin.den) for n in arms)
+    cond = {}
+    for k, x_cat in enumerate(table.categories(x_var)):
+        if arms[k] == 0:
+            raise ZeroMassError(f"treatment arm {x_cat!r} has zero mass")
+        for i, j in itertools.product((0, 1), (0, 1)):
+            cond[(i, j, k)] = Fraction(num[i][j][k], arms[k])
+    return ObservedCells(cond=cond, x_dist=x_dist, names=(t_var, s_var, x_var))
+
+
+def four_terms_verbatim(cells: ObservedCells, convention: str) -> tuple:
+    """The four x0 upper and the four x1 lower candidate terms, verbatim."""
+
+    def p(i, j, k):
+        return cells.read(i, j, k, convention)
+
+    upper_x0 = (
+        p(0, 1, 0) + p(1, 0, 0) + p(1, 1, 0) + p(0, 0, 1),
+        p(0, 1, 0) + p(1, 1, 0) + p(1, 0, 1) + p(0, 0, 1),
+        p(1, 0, 0) + p(1, 1, 0) + p(0, 1, 1) + p(0, 0, 1),
+        p(1, 1, 0) + p(0, 0, 1) + p(1, 0, 1) + p(0, 1, 1),
+    )
+    lower_x1 = (
+        p(0, 0, 0) - p(0, 0, 1),
+        p(1, 1, 1) - p(1, 1, 0),
+        p(0, 0, 0) + p(1, 0, 0) - p(0, 0, 1) - p(1, 0, 1),
+        p(0, 0, 0) + p(0, 1, 0) - p(0, 0, 1) - p(0, 1, 1),
+    )
+    return upper_x0, lower_x1
 
 
 def build_program_per_call(

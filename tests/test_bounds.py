@@ -6,7 +6,9 @@ LP over response-type distributions; the consistency-equation index sets
 are frozen literally and checked term for term against the code.
 """
 
+import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -492,6 +494,42 @@ def test_observed_cells_validation():
         ObservedCells(cond=dict(good), x_dist=(F(1, 2), F(1, 3)))
     with pytest.raises(FormatError):
         ObservedCells(cond=dict(good), x_dist=(F(-1, 2), F(3, 2)))
+
+
+def test_cells_keep_their_own_copy_of_cond():
+    """Editing the dict passed in changes neither cond nor any answer; ==,
+    repr, replace and pickle see only the three fields."""
+    q = {(0, 0, 1): F(1, 3), (1, 1, 3): F(1, 2), (3, 1, 0): F(1, 6)}
+    cond = dict(cells_from_types(q).cond)
+    kept = dict(cond)
+    cells = ObservedCells(cond=cond, x_dist=(F(1, 4), F(3, 4)))
+
+    def answers(c):
+        return (
+            certify_against_lp(c, True),
+            certify_against_lp(c, False),
+            closed_form_bounds(c, "joint-compat"),
+            [build_program(c, True, t, drop_proxy=d) for t in ("x0", "x1")
+             for d in (None, "s", "t")],
+        )
+
+    before = answers(cells)
+    cond[(0, 0, 0)], cond[(0, 0, 1)] = cond[(0, 0, 1)], cond[(0, 0, 0)]
+    del cond[(1, 1, 1)]
+    assert cells.cond == kept and cells.cond is not cond
+    assert answers(cells) == before
+    fresh = ObservedCells(cond=kept, x_dist=(F(1, 4), F(3, 4)))
+    assert fresh == cells and answers(fresh) == before
+    assert repr(cells) == (
+        f"ObservedCells(cond={kept!r}, x_dist={cells.x_dist!r}, names=('T', 'S', 'X'))"
+    )
+    assert pickle.loads(pickle.dumps(cells)) == cells
+    assert answers(pickle.loads(pickle.dumps(cells))) == before
+    even = dataclasses.replace(cells, x_dist=(F(1, 2), F(1, 2)))
+    assert even.cond == kept
+    assert closed_form_bounds(even, "joint-compat") != before[2]
+    with pytest.raises(FormatError, match="x_dist must be two nonnegative rationals"):
+        dataclasses.replace(cells, x_dist=(0.5, 0.5))
 
 
 def test_cells_from_table_error_paths():

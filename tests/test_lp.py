@@ -7,6 +7,7 @@ from bounds_oracle import assert_attaining_support
 from simplex_oracle import oracle_solve
 from vertex_oracle import (
     enumerate_vertices,
+    enumerate_vertices_every_basis,
     program_from_json,
     program_to_json,
     vertex_optimum,
@@ -168,6 +169,69 @@ def test_enumerate_vertices_simplex_face():
         (F(1), F(0), F(0)),
     ]
     assert enumerate_vertices([((1, 1), -2)], 2) == []
+
+
+def test_repeated_columns_are_skipped_without_losing_a_vertex():
+    """Columns 0, 1 and 3 are equal: every vertex puts its mass on one of
+    them or on column 2, as solving every basis finds."""
+    eqs = [((1, 1, 2, 1), 3), ((2, 2, 1, 2), 3)]
+    verts = enumerate_vertices(eqs, 4)
+    assert verts == enumerate_vertices_every_basis(eqs, 4)
+    assert verts == [
+        (F(0), F(0), F(1), F(1)),
+        (F(0), F(1), F(1), F(0)),
+        (F(1), F(0), F(1), F(0)),
+    ]
+
+
+@pytest.mark.slow
+def test_repeated_column_skip_keeps_every_vertex():
+    """enumerate_vertices lists the sorted vertices that solving every
+    basis lists: on criterion 08's programs, drawn as it draws them, and
+    on random programs built with repeated columns."""
+    rng = random.Random(42)
+    systems = []
+    for trial in range(300):
+        n = rng.randint(2, 6)
+        rows = rng.randint(1, min(4, n))
+        point = [F(rng.randint(0, 4)) for _ in range(n)]
+        eqs = []
+        for _ in range(rows):
+            a = [F(rng.randint(-3, 3)) for _ in range(n)]
+            b = F(rng.randint(-6, 6)) if trial % 3 == 0 else sum(
+                x * y for x, y in zip(a, point)
+            )
+            eqs.append((tuple(a), b))
+        systems.append((eqs, n))
+        [rng.randint(-5, 5) for _ in range(n)]  # criterion 08's objective draws
+    for _ in range(20):
+        weights = [rng.randint(0, 20) for _ in MONOTONE_INDICES]
+        while sum(weights) == 0:
+            weights = [rng.randint(0, 20) for _ in MONOTONE_INDICES]
+        total = sum(weights)
+        cells = cells_from_types(
+            {idx: F(w, total) for idx, w in zip(MONOTONE_INDICES, weights)}
+        )
+        for target, drop in (("x0", "s"), ("x1", "t")):
+            prog = build_program(cells, monotone=True, target=target, drop_proxy=drop)
+            systems.append((prog.equalities, len(prog.variables)))
+    rng = random.Random(2201)
+    for _ in range(200):
+        distinct = [[rng.randint(-2, 3) for _ in range(3)] for _ in range(rng.randint(2, 4))]
+        columns = [rng.choice(distinct) for _ in range(rng.randint(4, 8))]
+        point = [rng.randint(0, 2) for _ in columns]
+        eqs = [
+            (tuple(col[r] for col in columns),
+             sum(col[r] * x for col, x in zip(columns, point)))
+            for r in range(3)
+        ]
+        systems.append((eqs, len(columns)))
+    nonempty = 0
+    for eqs, n in systems:
+        verts = enumerate_vertices(eqs, n)
+        assert verts == enumerate_vertices_every_basis(eqs, n)
+        nonempty += bool(verts)
+    assert nonempty > 400
 
 
 def test_program_validation():

@@ -1,11 +1,9 @@
 """Shared, data-independent structure in the bounds and LP layers.
 
 build_program builds each shape's variables, coefficient rows and
-objective once, lp.phase1 and lp.phase2 reuse the integer rows and scaled
-objective of any matrix and objective equal in value to one they have
-seen, certify_against_lp proves both targets' answers with one check of
-each witness and runs no simplex, and cells_from_table reads the
-marginal's numerators in one pass.  These tests hold each of them to the
+objective once, certify_against_lp proves both targets' answers with one
+check of each witness and runs no simplex, and cells_from_table reads the
+table's numerators in one pass.  These tests hold each of them to the
 per-call code it replaced (tests/bounds_oracle.py,
 tests/simplex_oracle.py) with ``==``, and check that no cell data survives
 from one call to the next.  lp_bounds answers every program in closed
@@ -24,15 +22,18 @@ from bounds_oracle import (
     assert_attaining_support,
     build_program_per_call,
     cells_per_mass,
+    cells_via_marginal,
+    four_terms_verbatim,
     random_cells,
 )
 from simplex_oracle import oracle_solve
 
+import causalprox.bounds as bounds_mod
 import causalprox.lp as lp_mod
 from causalprox import (
+    FormatError,
     InfeasibleError,
     JointTable,
-    LinearProgram,
     ObservedCells,
     ZeroMassError,
     build_program,
@@ -41,7 +42,6 @@ from causalprox import (
     lp_bounds,
     make_program,
     sharp_bounds,
-    solve,
 )
 from causalprox.bounds import cells_from_types
 
@@ -125,61 +125,6 @@ def test_interleaved_cell_sets_leave_no_data_behind():
     assert 0 < infeasible < 3 * len(SHAPES)
 
 
-def test_phase1_reuses_skeleton_for_new_right_hand_sides():
-    """The same row tuples with fresh right-hand sides, negative ones
-    included, solve as the Fraction simplex does; a list row is keyed by
-    its value at the call, so changing it between calls misses the cache."""
-    rng = random.Random(804)
-    for _ in range(30):
-        n, m = rng.randint(2, 7), rng.randint(1, 4)
-        rows = [
-            tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3, 7))) for _ in range(n))
-            for _ in range(m)
-        ]
-        obj = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 5))) for _ in range(n))
-        for _ in range(6):
-            point = [F(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in range(n)]
-            rhs = [sum(a * x for a, x in zip(row, point)) for row in rows]
-            if rng.random() < 0.3:
-                rhs[rng.randrange(m)] = F(rng.randint(-5, 5), rng.choice((1, 4)))
-            for sense in ("min", "max"):
-                lp = LinearProgram(n, tuple(zip(rows, rhs)), obj, sense)
-                assert solve(lp) == oracle_solve(lp)
-        lists = [list(row) for row in rows]
-        lp = LinearProgram(n, tuple((row, F(1)) for row in lists), obj)
-        first = solve(lp)
-        assert first == oracle_solve(lp)
-        lists[0][:] = [F(1)] * n
-        assert solve(lp) == oracle_solve(lp)
-
-
-def test_phase1_and_phase2_memoize_by_value():
-    """Rows and objectives equal in value but held in distinct objects, as
-    ints or as Fractions, solve as the Fraction simplex does and share one
-    skeleton, and one scaled objective per sense."""
-    rng = random.Random(807)
-    n, m = 6, 3
-    rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m)]
-    obj = tuple(rng.randint(-3, 3) for _ in range(n))
-    point = [rng.randint(0, 3) for _ in range(n)]
-    rhs = [F(sum(a * x for a, x in zip(row, point))) for row in rows]
-    copies = [
-        (rows, obj),
-        ([tuple(list(row)) for row in rows], tuple(list(obj))),
-        ([tuple(F(a) for a in row) for row in rows], tuple(F(c) for c in obj)),
-    ]
-    lp_mod._skeleton.cache_clear()
-    lp_mod._scaled_objective.cache_clear()
-    for copy_rows, copy_obj in copies:
-        for sense in ("min", "max"):
-            lp = LinearProgram(n, tuple(zip(copy_rows, rhs)), copy_obj, sense)
-            assert solve(lp) == oracle_solve(lp)
-    skeletons = lp_mod._skeleton.cache_info()
-    assert (skeletons.misses, skeletons.hits, skeletons.currsize) == (1, 5, 1)
-    objectives = lp_mod._scaled_objective.cache_info()
-    assert (objectives.misses, objectives.hits, objectives.currsize) == (2, 4, 2)
-
-
 def test_certify_runs_no_simplex(monkeypatch):
     """certify_against_lp proves its answers with no simplex run: its lp
     entries are those of lp_bounds, and sharp_bounds gives the same pair."""
@@ -256,3 +201,81 @@ def test_cells_from_table_zero_mass_arm():
     for read in (cells_from_table, cells_per_mass):
         with pytest.raises(ZeroMassError, match="'x0'"):
             read(table, "X", "T", "S")
+
+
+def test_four_terms_equal_the_verbatim_fraction_formulas():
+    """The integer evaluation equals the Fraction sums of cells.read term
+    by term, under both readings, with random treatment marginals (0 and 1
+    included) and cells with zeros."""
+    rng = random.Random(2201)
+    zero_cells = 0
+    for trial in range(300):
+        if trial % 2:
+            base = random_cells(rng)
+        else:  # about half of each arm's cells zero
+            cond = {}
+            for k in (0, 1):
+                weights = [rng.choice((0, 0, rng.randint(1, 9))) for _ in range(4)]
+                weights[rng.randrange(4)] += 1
+                for (i, j), w in zip(itertools.product((0, 1), (0, 1)), weights):
+                    cond[(i, j, k)] = F(w, sum(weights))
+            base = ObservedCells(cond=cond)
+        zero_cells += sum(v == 0 for v in base.cond.values())
+        den = rng.randint(1, 12)
+        share = F(rng.randint(0, den), den)
+        cells = ObservedCells(cond=base.cond, x_dist=(share, 1 - share))
+        for convention in ("conditional", "joint-compat"):
+            got = bounds_mod._four_terms(cells, convention)
+            assert got == four_terms_verbatim(cells, convention)
+            assert all(type(v) is F for terms in got for v in terms)
+    assert zero_cells > 500
+    for cells, convention in ((base, "joint-compat"), (cells, "no-such-reading")):
+        with pytest.raises(FormatError) as want:
+            four_terms_verbatim(cells, convention)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(want.value))}$"):
+            bounds_mod._four_terms(cells, convention)
+
+
+def random_wide_table(rng):
+    """Random table over T, S, X and two more variables, Z with three
+    categories and W with two, in a random order."""
+    names = ["T", "S", "X", "Z", "W"]
+    rng.shuffle(names)
+    schema = tuple(
+        (name, tuple(f"{name.lower()}{c}" for c in range(3 if name == "Z" else 2)))
+        for name in names
+    )
+    shape = tuple(len(cats) for _, cats in schema)
+    num = np.array(
+        [rng.randint(0, 4) if rng.random() < 0.7 else 0 for _ in range(np.prod(shape))],
+        dtype=object,
+    ).reshape(shape)
+    num[(0,) * len(shape)] += 1
+    return JointTable(schema, num, "rational", int(num.sum()))
+
+
+def test_cells_from_table_equals_the_marginal_route():
+    """Tables with extra variables, and the tables that conditioning on
+    some of them leaves (the --stratify route), give the cells that a
+    marginal table over T, S and X gives, errors included."""
+    rng = random.Random(2202)
+    checked = zero_arms = 0
+    for _ in range(60):
+        table = random_wide_table(rng)
+        tables = [table]
+        for event in ({"Z": "z1"}, {"W": "w0"}, {"Z": "z2", "W": "w1"}):
+            try:
+                tables.append(table.condition(event))
+            except ZeroMassError:
+                pass
+        for t in tables:
+            try:
+                want = cells_via_marginal(t, "X", "T", "S")
+            except ZeroMassError as exc:
+                with pytest.raises(ZeroMassError, match=f"^{re.escape(str(exc))}$"):
+                    cells_from_table(t, "X", "T", "S")
+                zero_arms += 1
+                continue
+            assert cells_from_table(t, "X", "T", "S") == want
+            checked += 1
+    assert checked > 150 and zero_arms > 0

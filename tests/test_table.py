@@ -95,6 +95,28 @@ def test_load_counts_rejects_bad_headers_and_cells():
         load_counts("")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("A,B,count\na0,b0,1\n,b1,2\n", "line 3: empty category label"),
+    ("A,B,count\na0, ,1\n", "line 2: empty category label"),
+    ("A,B,prob\na0,b0,0.5\na1,,0.5\n", "line 3: empty category label"),
+    ("A,count\na0,2\n a0 ,3\n", "line 3: duplicate cell ('a0',)"),
+    ("A,B,count\n,b0,1\n,b0,2\n", "line 2: empty category label"),
+    ("A,B,count\na0,b0,1\na0 , b0,x\n",
+     "line 3: count must be a nonnegative integer, got 'x'"),
+    ("A,B,count\na0,b0,1\na1,b1\n", "line 3: expected 3 fields, got 2"),
+    ("A,B,count\na0,b0,1,4\n", "line 2: expected 3 fields, got 4"),
+    # blank and whitespace-only rows are dropped before lines are numbered
+    ("A,count\n\n  ,  \na0,1\na1\n", "line 3: expected 2 fields, got 1"),
+    ("A,count\na0,1\n\na1," + "1" * 5000 + "\n", "line 3: count too long: "),
+])
+def test_load_counts_error_messages_and_line_numbers(text, message):
+    with pytest.raises(FormatError) as err:
+        load_counts(text)
+    assert str(err.value).startswith(message)
+    if "too long" not in message:
+        assert str(err.value) == message
+
+
 def test_make_table_validates_mass():
     schema = [("A", ("a0", "a1"))]
     with pytest.raises(FormatError):

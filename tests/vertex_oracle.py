@@ -2,7 +2,9 @@
 
 These lived in causalprox.lp until only tests used them.  enumerate_vertices()
 lists every basic feasible solution of {A x = b, x >= 0} by trying each
-basis column subset, and vertex_optimum() picks the best of such a list,
+basis column subset that holds no two identical columns (such a subset is
+singular, so skipping it loses no vertex), and vertex_optimum() picks the
+best of such a list,
 so every objective over one polytope shares one enumeration; together
 they are an optimality check for the simplex on small instances that
 shares no code with it.  program_to_json() and
@@ -78,8 +80,19 @@ def enumerate_vertices(equalities, n: int):
 
     Exhaustive over basis column subsets, so only suitable as a small-scale
     oracle; SizeError beyond the documented limits.  Returns a sorted list
-    of Fraction tuples; empty when the system is infeasible.
+    of Fraction tuples; empty when the system is infeasible.  A subset
+    with two identical columns is singular and is skipped unsolved.
     """
+    return _scan_bases(equalities, n, skip_repeated=True)
+
+
+def enumerate_vertices_every_basis(equalities, n: int):
+    """enumerate_vertices, solving every basis column subset, repeated
+    columns included: the cross-check of the repeated-column skip."""
+    return _scan_bases(equalities, n, skip_repeated=False)
+
+
+def _scan_bases(equalities, n, skip_repeated):
     if n > MAX_VERTEX_VARIABLES:
         raise SizeError(f"vertex enumeration supports at most "
                         f"{MAX_VERTEX_VARIABLES} variables, got {n}")
@@ -104,8 +117,15 @@ def enumerate_vertices(equalities, n: int):
             f"vertex enumeration would scan {comb(n, rank)} basis sets; "
             f"the supported maximum is {MAX_BASIS_SETS}"
         )
+    # equal columns of the reduced rows share a class, as they do in A
+    classes = {}
+    column_class = [
+        classes.setdefault(tuple(row[c] for row in rows), c) for c in range(n)
+    ]
     seen = set()
     for cols in itertools.combinations(range(n), rank):
+        if skip_repeated and len({column_class[c] for c in cols}) < rank:
+            continue  # two identical columns: singular
         square = [[rows[r][c] for c in cols] for r in range(rank)]
         target = [rows[r][n] for r in range(rank)]
         aug2 = [square[r] + [target[r]] for r in range(rank)]
@@ -128,7 +148,8 @@ def vertex_optimum(verts, objective, sense="min"):
         return None
     obj = [parse_rational(c) for c in objective]
     pick = min if sense == "min" else max  # the first vertex among equals
+    # a vertex has at most rank nonzero coordinates; only they add to c.x
     return pick(
-        ((sum(c * x for c, x in zip(obj, v)), v) for v in verts),
+        ((sum((c * x for c, x in zip(obj, v) if x), Fraction(0)), v) for v in verts),
         key=lambda pair: pair[0],
     )
