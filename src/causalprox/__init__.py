@@ -13,7 +13,8 @@ Three layers:
   interventional probabilities from proxy response types when the
   point-identification assumptions fail, in closed form and proved by
   exact LP certificates, cross-checked closed forms, and an exact
-  rational simplex kept as the general LP.
+  rational simplex, `lp.solve`, kept as the general LP off every bounds
+  path.
 
 The `causalprox` command line fronts all of it; `fixtures` carries the
 shared worked example.

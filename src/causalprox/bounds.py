@@ -129,18 +129,6 @@ class ObservedCells:
             self, "_num", {c: n * (den // d) for c, (n, d) in ratios.items()}
         )
 
-    def read(self, i: int, j: int, k: int, convention: str) -> Fraction:
-        """One cell under the requested symbol reading."""
-        if convention == "conditional":
-            return self.cond[(i, j, k)]
-        if convention == "joint-compat":
-            if self.x_dist is None:
-                raise FormatError(
-                    "the joint-compat reading needs the treatment marginal"
-                )
-            return self.cond[(i, j, k)] * self.x_dist[k]
-        raise FormatError(f"unknown convention {convention!r}")
-
 
 def cells_from_table(
     table: JointTable, x_var: str, t_var: str, s_var: str
@@ -703,15 +691,15 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
         res.target: res if monotone else replace(res, applicable=False)
         for res in closed_form_bounds(cells, convention="conditional")
     }
-    progs = [build_program(cells, monotone=monotone, target=t) for t in TARGETS]
+    prog = build_program(cells, monotone=monotone, target="x0")
     try:
         g, binding, witnesses = _sharp(cells, monotone, None)
     except InfeasibleError as exc:
-        _check_farkas(progs[0], exc.down_set)
+        _check_farkas(prog, exc.down_set)
         lp_out = dict.fromkeys(TARGETS)
     else:
         lp_out = {t: _lp_result(t, g, witnesses[t]) for t in TARGETS}
-        _check_certificates(progs, lp_out, binding)
+        _check_certificates(prog, lp_out, binding)
     deltas = {}
     for target in TARGETS:
         if lp_out[target] is None or not closed[target].applicable:
@@ -730,19 +718,20 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
     )
 
 
-def _check_certificates(progs: Sequence, results: dict, binding) -> None:
+def _check_certificates(
+    prog: CounterfactualProgram, results: dict, binding
+) -> None:
     """Raise SpecError unless exact certificates prove every endpoint.
 
-    progs are one shape's programs of one cell set, results maps each
-    target to its lp answer, and binding is the down-set of the monotone
-    dual vectors.  The rows do not depend on the target, so each witness
-    is checked against them once, in integers over one common denominator.
+    prog is a program of the cells, results maps each target to its lp
+    answer, and binding is the down-set of the monotone dual vectors.  The
+    rows do not depend on the target, so each witness is checked against
+    prog's rows once, in integers over one common denominator, and each
+    target's objective is _objective's.
     """
-    if any(prog.equalities != progs[0].equalities for prog in progs):
-        raise SpecError("the targets' programs have different rows")
-    rows = [row for row, _ in progs[0].equalities]
-    rhs = [b for _, b in progs[0].equalities]
-    column = _columns(bool(progs[0].monotone))
+    rows = [row for row, _ in prog.equalities]
+    rhs = [b for _, b in prog.equalities]
+    column = _columns(bool(prog.monotone))
     witnesses = {
         id(w): w for res in results.values() for w in res.witnesses.values()
     }
@@ -763,18 +752,18 @@ def _check_certificates(progs: Sequence, results: dict, binding) -> None:
         ):
             raise SpecError("a witness is not a feasible type distribution")
         scaled[key] = x
-    for prog in progs:
-        res = results[prog.target]
+    for target, res in results.items():
+        objective = _objective(bool(prog.monotone), target)
         for side, value in (("lower", res.lower), ("upper", res.upper)):
             x = scaled[id(res.witnesses[side])]
-            y = _dual_vector(prog.monotone, prog.dropped, prog.target, side, binding)
+            y = _dual_vector(prog.monotone, prog.dropped, target, side, binding)
             for total in (
-                sum(prog.objective[c] * m for c, m in x),
+                sum(objective[c] * m for c, m in x),
                 sum(yi * bi for yi, bi in zip(y, b) if yi),
             ):
                 if total * value.denominator != value.numerator * den:
                     raise SpecError(
-                        f"{prog.target} {side} {value} is not proved by its "
+                        f"{target} {side} {value} is not proved by its "
                         "witness and dual vector"
                     )
 

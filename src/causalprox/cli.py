@@ -357,13 +357,11 @@ def cmd_bounds(args) -> int:
             f"--stratify {args.stratify} names the exposure or a proxy; the "
             "stratum variable must differ from the exposure and both proxies"
         )
-    if args.method == "lp" and args.convention != "conditional":
-        diagnostics.append(
-            {
-                "code": "W_CONVENTION_IGNORED",
-                "message": "--convention affects closed forms only",
-            }
-        )
+    if args.method != "closed" and args.convention != "conditional":
+        message = "--convention affects closed forms only"
+        if args.method == "both":
+            message += "; certification uses the conditional reading"
+        diagnostics.append({"code": "W_CONVENTION_IGNORED", "message": message})
 
     status = EXIT_OK
     lines = []

@@ -2,9 +2,8 @@
 
 Problems are minimize/maximize c.x subject to A x = b, x >= 0, with every
 coefficient rational.  solve() runs a two-phase simplex under Bland's rule,
-so the answer is exact and deterministic; phase1() and phase2() are its two
-steps, and one feasible start serves several objectives.  Every returned
-value is a Fraction.
+so the answer is exact and deterministic.  Every returned value is a
+Fraction.
 
 The tableau holds Python integers (fraction-free pivoting after Edmonds and
 Bareiss): each entry is det times the rational one, det > 0, and the pivot
@@ -80,14 +79,12 @@ def _eliminate(row, prow, p, c, det):
 
 class _Tableau:
     """rows[r]: det times row r of the rational tableau of the scaled program
-    (coefficients, then right-hand side, whose true value is rows[r][-1] /
-    (det * scale)); basis[r]: its basic column; cost: the reduced-cost row,
-    kept the same way, ending in -det times the objective.  Pivots build
-    new row lists, so tableaus may share rows."""
+    (coefficients, then right-hand side); basis[r]: its basic column; cost:
+    the reduced-cost row, kept the same way, ending in -det times the
+    objective, or None while no objective is optimized."""
 
-    def __init__(self, rows, basis, det, scale, cost):
-        self.rows, self.basis, self.det, self.scale = rows, basis, det, scale
-        self.cost = cost
+    def __init__(self, rows, basis, cost):
+        self.rows, self.basis, self.det, self.cost = rows, basis, 1, cost
 
     def pivot(self, r, c):
         prow = self.rows[r]
@@ -130,62 +127,31 @@ class _Tableau:
             self.pivot(best_r, entering)
 
 
-def _skeleton(n, rows):
-    """(row_scale, integer rows, column sums) for the coefficient rows.
-
-    Integer row r is row_scale * A[r] followed by the artificial unit
-    vector e_r; the column sums cover the first n entries.
-    """
-    coeffs = [[parse_rational(a) for a in row] for row in rows]
-    m = len(rows)
-    row_scale = lcm(*{a.denominator for row in coeffs for a in row})
-    scaled = [
-        [a.numerator * (row_scale // a.denominator) for a in row] for row in coeffs
-    ]
-    colsum = tuple(sum(col) for col in zip([0] * n, *scaled))
-    ints = tuple(
-        (*row, *(int(i == r) for i in range(m))) for r, row in enumerate(scaled)
-    )
-    return row_scale, ints, colsum
-
-
-def _scaled_objective(objective, sense):
-    """(gamma, c): c is gamma * objective, negated for "max", in integers."""
-    sign = 1 if sense == "min" else -1
-    c = [parse_rational(v) for v in objective]
-    gamma = lcm(*{v.denominator for v in c})
-    return gamma, tuple(sign * v.numerator * (gamma // v.denominator) for v in c)
-
-
-def phase1(lp: LinearProgram) -> Optional[_Tableau]:
-    """Feasible start for lp (a basis of its rows), or None when infeasible.
-
-    The start keeps no artificial column and drops the rows that phase 1
-    shows redundant; phase2() optimizes any objective from it.
-    """
-    n = lp.n
-    m = len(lp.equalities)
-    row_scale, prefixes, colsum = _skeleton(n, [row for row, _ in lp.equalities])
+def solve(lp: LinearProgram) -> LPResult:
+    """Exact two-phase simplex.  Never raises on infeasible/unbounded."""
+    n, m = lp.n, len(lp.equalities)
+    coeffs = [[parse_rational(a) for a in row] for row, _ in lp.equalities]
     rhs = [parse_rational(b) for _, b in lp.equalities]
-    # one scalar for every row, then one for every right-hand side
+    # one scalar for every row, then one for every right-hand side; the
+    # true right-hand side of a tableau row is row[-1] / (det * scale)
+    row_scale = lcm(*{a.denominator for row in coeffs for a in row})
     scale = lcm(*{(b * row_scale).denominator for b in rhs})
-    cost = [-c for c in colsum]
-    ints = []
-    for row, b in zip(prefixes, rhs):
+    rows = []
+    for r, (row, b) in enumerate(zip(coeffs, rhs)):
+        ints = [a.numerator * (row_scale // a.denominator) for a in row]
         v = b.numerator * (row_scale * scale // b.denominator)
         if v < 0:
-            neg = [-a for a in row[:n]]
-            cost = [c - 2 * a for c, a in zip(cost, neg)]
-            row, v = (*neg, *row[n:]), -v
-        ints.append([*row, v])
+            ints, v = [-a for a in ints], -v
+        rows.append([*ints, *(int(i == r) for i in range(m)), v])
 
     # phase 1: artificial variable per row, minimize their sum; an
     # artificial's reduced cost is its cost 1 less the 1 in its row
-    cost += [0] * m + [-sum(row[-1] for row in ints)]
-    tab = _Tableau(ints, [n + r for r in range(m)], 1, scale, cost)
+    cost = [-sum(row[j] for row in rows) for j in range(n)]
+    cost += [0] * m + [-sum(row[-1] for row in rows)]
+    tab = _Tableau(rows, [n + r for r in range(m)], cost)
     tab.optimize()
     if tab.cost[-1] != 0:
-        return None
+        return LPResult(status="infeasible", value=None, witness=None)
     tab.cost = None
 
     # drive remaining artificials out of the basis; drop redundant rows
@@ -199,32 +165,23 @@ def phase1(lp: LinearProgram) -> Optional[_Tableau]:
         keep.append(r)
     tab.rows = [tab.rows[r][:n] + tab.rows[r][-1:] for r in keep]
     tab.basis = [tab.basis[r] for r in keep]
-    return tab
 
-
-def phase2(start: _Tableau, objective, sense: str) -> LPResult:
-    """Optimize objective in sense from a phase1() start, which stays unchanged."""
-    objective = tuple(objective)
-    gamma, c = _scaled_objective(objective, sense)
-    cost = [start.det * cj for cj in c] + [0]
-    for row, b in zip(start.rows, start.basis):
+    # phase 2: the objective times the LCM of its denominators, negated
+    # for "max", priced out against the basis
+    sign = 1 if lp.sense == "min" else -1
+    objective = [parse_rational(v) for v in lp.objective]
+    gamma = lcm(*{v.denominator for v in objective})
+    c = [sign * v.numerator * (gamma // v.denominator) for v in objective]
+    cost = [tab.det * cj for cj in c] + [0]
+    for row, b in zip(tab.rows, tab.basis):
         if c[b]:
             cost = [z - c[b] * a for z, a in zip(cost, row)]
-    tab = _Tableau(start.rows, list(start.basis), start.det, start.scale, cost)
+    tab.cost = cost
     if tab.optimize() == "unbounded":
         return LPResult(status="unbounded", value=None, witness=None)
-    denom = tab.det * tab.scale
-    witness = [Fraction(0)] * len(objective)
+    denom = tab.det * scale
+    witness = [Fraction(0)] * n
     for row, b in zip(tab.rows, tab.basis):
         witness[b] = Fraction(row[-1], denom)
-    sign = 1 if sense == "min" else -1
     value = Fraction(-sign * tab.cost[-1], denom * gamma)
     return LPResult(status="optimal", value=value, witness=tuple(witness))
-
-
-def solve(lp: LinearProgram) -> LPResult:
-    """Exact two-phase simplex.  Never raises on infeasible/unbounded."""
-    start = phase1(lp)
-    if start is None:
-        return LPResult(status="infeasible", value=None, witness=None)
-    return phase2(start, lp.objective, lp.sense)

@@ -8,8 +8,9 @@ replaced, unchanged apart from their names: `build_program_per_call`
 rebuilds every row and the objective from the response map on each call,
 `cells_per_mass` reads every cell with one `mass` lookup and a division,
 `cells_via_marginal` reads them through a marginal table, and
-`four_terms_verbatim` sums the cells' Fractions term by term.  Tests
-require the package's results to equal theirs with `==`.
+`four_terms_verbatim` sums the cells' Fractions term by term, reading
+each cell under the requested convention itself.  Tests require the
+package's results to equal theirs with `==`.
 
 `random_cells` draws seeded test cells, and `assert_attaining_support`
 checks a witness, which no simplex produced, against the per-call
@@ -96,10 +97,19 @@ def cells_via_marginal(
 
 
 def four_terms_verbatim(cells: ObservedCells, convention: str) -> tuple:
-    """The four x0 upper and the four x1 lower candidate terms, verbatim."""
+    """The four x0 upper and the four x1 lower candidate terms, verbatim.
+
+    The conditional reading takes each cell as it is, and the joint reading
+    multiplies it by its arm's probability.
+    """
+    if convention == "joint-compat" and cells.x_dist is None:
+        raise FormatError("the joint-compat reading needs the treatment marginal")
+    if convention not in ("conditional", "joint-compat"):
+        raise FormatError(f"unknown convention {convention!r}")
 
     def p(i, j, k):
-        return cells.read(i, j, k, convention)
+        value = cells.cond[(i, j, k)]
+        return value if convention == "conditional" else value * cells.x_dist[k]
 
     upper_x0 = (
         p(0, 1, 0) + p(1, 0, 0) + p(1, 1, 0) + p(0, 0, 1),

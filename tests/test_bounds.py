@@ -234,11 +234,12 @@ def test_closed_form_joint_compat_golden():
 def test_joint_compat_requires_treatment_marginal():
     q = {idx: F(1, 27) for idx in MONOTONE_INDICES}
     cells = cells_from_types(q)  # no x_dist given
-    assert cells.read(0, 0, 1, "conditional") == cells.cond[(0, 0, 1)]
-    with pytest.raises(FormatError):
+    x0, x1 = closed_form_bounds(cells, convention="conditional")
+    assert x1.terms[0] == cells.cond[(0, 0, 0)] - cells.cond[(0, 0, 1)]
+    with pytest.raises(FormatError, match="needs the treatment marginal"):
         closed_form_bounds(cells, convention="joint-compat")
-    with pytest.raises(FormatError):
-        cells.read(0, 0, 1, "no-such-reading")
+    with pytest.raises(FormatError, match="unknown convention"):
+        closed_form_bounds(cells, convention="no-such-reading")
 
 
 def test_worked_example_unrestricted_lp_is_trivial():

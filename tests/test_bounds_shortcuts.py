@@ -17,7 +17,6 @@ import pytest
 from bounds_oracle import assert_attaining_support, random_cells
 from simplex_oracle import oracle_solve
 
-import causalprox.lp as lp_mod
 from causalprox import (
     InfeasibleError,
     ObservedCells,
@@ -30,22 +29,6 @@ from causalprox import (
 DROPS = (None, "s", "t")
 TARGETS = ("x0", "x1")
 MESSAGE = "observed cells are inconsistent with the monotone response-type model"
-
-
-@pytest.fixture
-def simplex_calls(monkeypatch):
-    """The list of calls to causalprox.lp's phase1 and phase2, which every
-    simplex solve goes through."""
-    calls = []
-    for name in ("phase1", "phase2"):
-        real = getattr(lp_mod, name)
-
-        def counting(*args, _name=name, _real=real):
-            calls.append(_name)
-            return _real(*args)
-
-        monkeypatch.setattr(lp_mod, name, counting)
-    return calls
 
 
 def arms(x0, x1):

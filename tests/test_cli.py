@@ -513,6 +513,32 @@ def test_bounds_closed_joint_compat_golden(workdir, capsys):
     assert report["outputs"]["x0"]["upper"]["exact"] == "861/2500"
 
 
+def test_bounds_both_says_certification_ignores_the_convention(workdir):
+    """--method both certifies the conditional reading, so --convention
+    joint-compat warns as --method lp does, and changes nothing else."""
+    base = ["bounds", "data.csv", "--exposure", "X", "--proxies", "T,S"]
+    joint = ["--convention", "joint-compat"]
+    _, lp_report = run_json(base + joint + ["--method", "lp"])
+    assert lp_report["diagnostics"] == [{
+        "code": "W_CONVENTION_IGNORED",
+        "message": "--convention affects closed forms only",
+    }]
+    for monotone in ([], ["--monotone"]):
+        argv = base + monotone + ["--method", "both"]
+        code, report = run_json(argv + joint)
+        plain_code, plain = run_json(argv)
+        assert code == plain_code == (3 if monotone else 0)
+        assert report["diagnostics"] == [{
+            "code": "W_CONVENTION_IGNORED",
+            "message": "--convention affects closed forms only; "
+            "certification uses the conditional reading",
+        }]
+        assert plain["diagnostics"] == []
+        assert report["outputs"] == plain["outputs"]
+        closed = report["outputs"]["certification"]["closed_form"]
+        assert {res["convention"] for res in closed.values()} == {"conditional"}
+
+
 def test_bounds_closed_without_monotone_not_applicable(workdir, capsys):
     code, report = run_json([
         "bounds", "data.csv", "--exposure", "X", "--proxies", "T,S",
