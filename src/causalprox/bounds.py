@@ -52,6 +52,7 @@ MONOTONE_INDICES = tuple(
 )
 TARGETS = ("x0", "x1")
 _LATTICE = ((0, 0), (0, 1), (1, 0), (1, 1))  # the proxies' (t, s) values
+_ARMS = tuple(tuple(u + (k,) for u in _LATTICE) for k in (0, 1))  # cells by arm
 ZERO, ONE = Fraction(0), Fraction(1)
 
 
@@ -93,18 +94,19 @@ class ObservedCells:
     names: tuple = ("T", "S", "X")
 
     def __post_init__(self):
+        cond = self.cond
         ratios = {}  # cell -> (numerator, denominator)
-        for k in (0, 1):
-            for i, j in _LATTICE:
-                if (i, j, k) not in self.cond:
-                    raise FormatError(f"missing cell ({i}, {j}, {k})")
-                v = self.cond[(i, j, k)]
+        for k, cells in enumerate(_ARMS):
+            for cell in cells:
+                if cell not in cond:
+                    raise FormatError(f"missing cell {cell}")
+                v = cond[cell]
                 if not isinstance(v, Fraction):
                     raise FormatError("cells must be exact rationals")
-                n, d = ratios[(i, j, k)] = v.as_integer_ratio()
+                n, _ = ratios[cell] = v.as_integer_ratio()
                 if n < 0:
-                    raise FormatError(f"cell ({i}, {j}, {k}) is negative")
-            arm = [ratios[u + (k,)] for u in _LATTICE]
+                    raise FormatError(f"cell {cell} is negative")
+            arm = [ratios[cell] for cell in cells]
             den = math.lcm(*(d for _, d in arm))
             total = sum(n * (den // d) for n, d in arm)
             if total != den:
@@ -112,18 +114,21 @@ class ObservedCells:
                     f"cells for arm {k} sum to {Fraction(total, den)}, "
                     "expected exactly 1"
                 )
-        if len(self.cond) != 8:
+        if len(cond) != 8:
             raise FormatError("exactly eight cells expected")
-        if self.x_dist is not None:
-            if len(self.x_dist) != 2 or any(
-                not isinstance(p, (int, Fraction)) or p < 0 for p in self.x_dist
-            ):
+        if self.x_dist is not None:  # checked on integer ratios
+            arms = [
+                p.as_integer_ratio() for p in self.x_dist
+                if isinstance(p, (int, Fraction))
+            ]
+            if len(self.x_dist) != 2 or len(arms) != 2 or any(n < 0 for n, _ in arms):
                 raise FormatError("x_dist must be two nonnegative rationals")
-            if sum(self.x_dist) != 1:
+            (n0, d0), (n1, d1) = arms
+            if n0 * d1 + n1 * d0 != d0 * d1:
                 raise FormatError("x_dist must sum to exactly 1")
         den = math.lcm(*(d for _, d in ratios.values()))
         # not dataclass fields, so ==, repr and replace see only the cells
-        object.__setattr__(self, "cond", dict(self.cond))
+        object.__setattr__(self, "cond", dict(cond))
         object.__setattr__(self, "_den", den)
         object.__setattr__(
             self, "_num", {c: n * (den // d) for c, (n, d) in ratios.items()}
@@ -147,21 +152,22 @@ def cells_from_table(
                 f"{var!r} must be dichotomous, has "
                 f"{len(table.categories(var))} categories"
             )
-    axes = [table._axis(v) for v in (t_var, s_var, x_var)]
+    axes = [table._axis(v) for v in (x_var, t_var, s_var)]
     num = table.num
     others = tuple(a for a in range(num.ndim) if a not in axes)
     if others:  # sum the other variables out; the three keep their order
         num = num.sum(axis=others)
         axes = [sorted(axes).index(a) for a in axes]
-    num = num.transpose(axes).tolist()  # integer numerators, [t][s][x]
-    arms = [sum(num[i][j][k] for i in (0, 1) for j in (0, 1)) for k in (0, 1)]
-    x_dist = tuple(Fraction(n, table.den) for n in arms)
+    # each arm's four integer numerators, (t, s) in _LATTICE order
+    arms = num.transpose(axes).reshape(2, 4).tolist()
+    totals = [sum(arm) for arm in arms]
+    x_dist = tuple(Fraction(n, table.den) for n in totals)
     cond = {}
     for k, x_cat in enumerate(table.categories(x_var)):
-        if arms[k] == 0:
+        if totals[k] == 0:
             raise ZeroMassError(f"treatment arm {x_cat!r} has zero mass")
-        for i, j in itertools.product((0, 1), (0, 1)):
-            cond[(i, j, k)] = Fraction(num[i][j][k], arms[k])
+        for (i, j), n in zip(_LATTICE, arms[k]):
+            cond[(i, j, k)] = Fraction(n, totals[k])
     return ObservedCells(cond=cond, x_dist=x_dist, names=(t_var, s_var, x_var))
 
 
@@ -269,6 +275,23 @@ def _objective(monotone: bool, target: str) -> tuple:
     return tuple(int(v in wanted) for v in variables)
 
 
+def _check_drop(drop_proxy) -> None:
+    if drop_proxy not in (None, "s", "t"):
+        raise FormatError(f"drop_proxy must be None, 's' or 't', got {drop_proxy!r}")
+
+
+def _equalities(cells: ObservedCells, monotone: bool, drop_proxy) -> tuple:
+    """(variables, equality rows paired with their right-hand sides) of the
+    cells' programs of one shape."""
+    _check_drop(drop_proxy)
+    variables, rows, rhs_cells = _constraints(bool(monotone), drop_proxy)
+    cond = cells.cond
+    rhs = [ONE] + [
+        cond[a] if b is None else cond[a] + cond[b] for a, b in rhs_cells
+    ]
+    return variables, tuple(zip(rows, rhs))
+
+
 def build_program(
     cells: ObservedCells,
     monotone: bool,
@@ -284,16 +307,10 @@ def build_program(
     0/1 int tuples, so only the right-hand sides (Fractions) are computed
     per call.
     """
-    if drop_proxy not in (None, "s", "t"):
-        raise FormatError(f"drop_proxy must be None, 's' or 't', got {drop_proxy!r}")
-    variables, rows, rhs_cells = _constraints(bool(monotone), drop_proxy)
-    cond = cells.cond
-    rhs = [ONE] + [
-        cond[a] if b is None else cond[a] + cond[b] for a, b in rhs_cells
-    ]
+    variables, equalities = _equalities(cells, monotone, drop_proxy)
     return CounterfactualProgram(
         variables=variables,
-        equalities=tuple(zip(rows, rhs)),
+        equalities=equalities,
         objective=_objective(bool(monotone), target),
         target=target,
         monotone=monotone,
@@ -329,7 +346,9 @@ class BoundsResult:
     applicable: bool = True
 
     def __post_init__(self):
-        if not 0 <= self.lower <= self.upper <= 1:
+        # 0 <= lower <= upper <= 1, on integer ratios
+        (ln, ld), (un, ud) = self.lower.as_integer_ratio(), self.upper.as_integer_ratio()
+        if not (0 <= ln and ln * ud <= un * ld and un <= ud):
             raise SpecError(
                 f"malformed bounds [{self.lower}, {self.upper}] for "
                 f"{self.target}"
@@ -408,13 +427,18 @@ def lp_bounds(prog: CounterfactualProgram) -> BoundsResult:
     two masses, when the observed cells are inconsistent with the
     monotone response-type model.
     """
-    if prog != build_program(prog.cells, prog.monotone, prog.target, prog.dropped):
+    # prog == build_program(prog.cells, ...), without building that program
+    variables, equalities = _equalities(prog.cells, prog.monotone, prog.dropped)
+    objective = _objective(bool(prog.monotone), prog.target)
+    if (type(prog), prog.variables, prog.equalities, prog.objective) != (
+        CounterfactualProgram, variables, equalities, objective
+    ):
         raise SpecError(
             "program does not match build_program of its cells; lp_bounds "
             "answers from prog.cells"
         )
     g, _, witnesses = _sharp(prog.cells, prog.monotone, prog.dropped)
-    return _lp_result(prog.target, g, witnesses[prog.target])
+    return _lp_result(prog.target, g, prog.cells._den, witnesses[prog.target])
 
 
 def sharp_bounds(
@@ -425,15 +449,18 @@ def sharp_bounds(
     Each witness pair is built once for both targets, so the two results
     share their witness dicts.
     """
-    if drop_proxy not in (None, "s", "t"):
-        raise FormatError(f"drop_proxy must be None, 's' or 't', got {drop_proxy!r}")
+    _check_drop(drop_proxy)
     g, _, witnesses = _sharp(cells, bool(monotone), drop_proxy)
-    return tuple(_lp_result(target, g, witnesses[target]) for target in TARGETS)
+    return tuple(
+        _lp_result(target, g, cells._den, witnesses[target]) for target in TARGETS
+    )
 
 
-def _lp_result(target: str, g: Fraction, pair: tuple) -> BoundsResult:
-    """x0 in [0, 1 - g] or x1 in [g, 1], with pair = (lower, upper) witness."""
-    lower, upper = (ZERO, 1 - g) if target == "x0" else (g, ONE)
+def _lp_result(target: str, g: int, den: int, pair: tuple) -> BoundsResult:
+    """x0 in [0, 1 - g / den] or x1 in [g / den, 1], with pair = (lower,
+    upper) witness."""
+    x0 = target == "x0"
+    lower, upper = (ZERO, _fraction(den - g, den)) if x0 else (_fraction(g, den), ONE)
     return BoundsResult(
         target=target,
         lower=lower,
@@ -469,7 +496,8 @@ _PRODUCT_TYPES = tuple(
 
 def _sharp(cells: ObservedCells, monotone: bool, dropped) -> tuple:
     """(g, binding down-set, {target: (lower witness, upper witness)}) of
-    one shape's programs, by the proofs of lp_bounds.
+    one shape's programs, by the proofs of lp_bounds, with g the integer
+    numerator of the largest gap over cells._den.
 
     The binding down-set is the one whose gap is g, None without
     monotonicity.  The gaps, the coupling and the product masses run on
@@ -478,7 +506,7 @@ def _sharp(cells: ObservedCells, monotone: bool, dropped) -> tuple:
     num, den = cells._num, cells._den
     if not monotone:
         down, up = _product_witnesses(num, den)
-        return ZERO, None, {"x0": (up, down), "x1": (down, up)}
+        return 0, None, {"x0": (up, down), "x1": (down, up)}
     gaps = _x1_lower_terms(num)
     worst = min(_KEPT[dropped], key=gaps.__getitem__)
     if gaps[worst] < 0:
@@ -492,7 +520,7 @@ def _sharp(cells: ObservedCells, monotone: bool, dropped) -> tuple:
         )
     best = max(_KEPT[dropped], key=gaps.__getitem__)
     pair = _coupling_witnesses(num, dropped, den)
-    return Fraction(gaps[best], den), _DOWN_SETS[best], {"x0": pair, "x1": pair}
+    return gaps[best], _DOWN_SETS[best], {"x0": pair, "x1": pair}
 
 
 def _product_witnesses(num: dict, den: int) -> tuple:
@@ -584,12 +612,23 @@ def _four_terms(cells: ObservedCells, convention: str) -> tuple:
     )
 
 
+def _fraction(n: int, den: int) -> Fraction:
+    """n / den, as the shared ZERO or ONE when it is 0 or 1."""
+    return ZERO if n == 0 else ONE if n == den else Fraction(n, den)
+
+
+def _clamped(v: Fraction) -> Fraction:
+    """v clamped to [0, 1], compared through its integer ratio."""
+    n, d = v.as_integer_ratio()
+    return ZERO if n <= 0 else ONE if n >= d else v
+
+
 def _result_pair(
     method, convention, upper=ONE, lower=ZERO,
     terms=(None, None), applicable=True,
 ):
     """(x0 in [0, upper], x1 in [lower, 1]) with upper and lower clamped to [0, 1]."""
-    upper, lower = (min(ONE, max(ZERO, v)) for v in (upper, lower))
+    upper, lower = _clamped(upper), _clamped(lower)
     common = {"method": method, "convention": convention, "applicable": applicable}
     return (
         BoundsResult("x0", ZERO, upper, terms=terms[0], **common),
@@ -698,7 +737,7 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
         _check_farkas(prog, exc.down_set)
         lp_out = dict.fromkeys(TARGETS)
     else:
-        lp_out = {t: _lp_result(t, g, witnesses[t]) for t in TARGETS}
+        lp_out = {t: _lp_result(t, g, cells._den, witnesses[t]) for t in TARGETS}
         _check_certificates(prog, lp_out, binding)
     deltas = {}
     for target in TARGETS:
@@ -706,8 +745,8 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
             deltas[target] = None
         else:
             deltas[target] = (
-                closed[target].lower - lp_out[target].lower,
-                closed[target].upper - lp_out[target].upper,
+                _difference(closed[target].lower, lp_out[target].lower),
+                _difference(closed[target].upper, lp_out[target].upper),
             )
     return CertificationReport(
         monotone=monotone,
@@ -718,6 +757,12 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
     )
 
 
+def _difference(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, computed on their integer ratios."""
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    return _fraction(an * bd - bn * ad, ad * bd)
+
+
 def _check_certificates(
     prog: CounterfactualProgram, results: dict, binding
 ) -> None:
@@ -726,42 +771,50 @@ def _check_certificates(
     prog is a program of the cells, results maps each target to its lp
     answer, and binding is the down-set of the monotone dual vectors.  The
     rows do not depend on the target, so each witness is checked against
-    prog's rows once, in integers over one common denominator, and each
-    target's objective is _objective's.
+    all of prog's rows once, in integers over one common denominator: one
+    pass over its support adds each mass to the rows its column meets.
+    Each target's objective is _objective's.
     """
-    rows = [row for row, _ in prog.equalities]
-    rhs = [b for _, b in prog.equalities]
+    rows = tuple(row for row, _ in prog.equalities)
+    rhs = [b.as_integer_ratio() for _, b in prog.equalities]
+    incidence = _incidence(rows)
     column = _columns(bool(prog.monotone))
     witnesses = {
         id(w): w for res in results.values() for w in res.witnesses.values()
     }
+    witnesses = {  # (column, numerator, denominator) of each type
+        key: [(column.get(v), *m.as_integer_ratio()) for v, m in w.items()]
+        for key, w in witnesses.items()
+    }
     den = math.lcm(
-        *(b.denominator for b in rhs),
-        *(m.denominator for w in witnesses.values() for m in w.values()),
+        *(d for _, d in rhs), *(d for x in witnesses.values() for _, _, d in x)
     )
-    b = [v.numerator * (den // v.denominator) for v in rhs]
+    b = [n * (den // d) for n, d in rhs]
     scaled = {}
-    for key, witness in witnesses.items():
-        x = [
-            (column.get(v), m.numerator * (den // m.denominator))
-            for v, m in witness.items()
-        ]
-        if (
-            any(c is None or m <= 0 for c, m in x)
-            or any(sum(row[c] * m for c, m in x) != bi for row, bi in zip(rows, b))
-        ):
+    for key, x in witnesses.items():
+        totals = [0] * len(rows)
+        support = []
+        for c, n, d in x:
+            if c is None or n <= 0:
+                raise SpecError("a witness is not a feasible type distribution")
+            m = n * (den // d)
+            for r, a in incidence[c]:
+                totals[r] += a * m
+            support.append((c, m))
+        if totals != b:
             raise SpecError("a witness is not a feasible type distribution")
-        scaled[key] = x
+        scaled[key] = support
     for target, res in results.items():
         objective = _objective(bool(prog.monotone), target)
         for side, value in (("lower", res.lower), ("upper", res.upper)):
             x = scaled[id(res.witnesses[side])]
             y = _dual_vector(prog.monotone, prog.dropped, target, side, binding)
+            n, d = value.as_integer_ratio()
             for total in (
                 sum(objective[c] * m for c, m in x),
                 sum(yi * bi for yi, bi in zip(y, b) if yi),
             ):
-                if total * value.denominator != value.numerator * den:
+                if total * d != n * den:
                     raise SpecError(
                         f"{target} {side} {value} is not proved by its "
                         "witness and dual vector"
@@ -773,6 +826,14 @@ def _check_farkas(prog: CounterfactualProgram, down_set: tuple) -> None:
     y = _dual_vector(prog.monotone, prog.dropped, None, "lower", down_set)
     if sum(yi * b for yi, (_, b) in zip(y, prog.equalities) if yi) <= 0:
         raise SpecError(f"down-set {down_set} does not prove infeasibility")
+
+
+@functools.lru_cache(maxsize=8)
+def _incidence(rows: tuple) -> tuple:
+    """For each column of rows, its (row index, coefficient) nonzero entries."""
+    return tuple(
+        tuple((r, a) for r, a in enumerate(column) if a) for column in zip(*rows)
+    )
 
 
 @functools.cache

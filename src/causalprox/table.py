@@ -12,6 +12,11 @@ float mode ``num`` holds the float probabilities and ``den`` is 1.
 Tables are immutable and their arrays read-only.  Category order inside
 each variable follows the declared schema, never the order rows happen
 to appear in a data file when a schema is supplied.
+
+The public constructor copies and checks what it is given.  load_counts,
+which builds its array from the CSV cells and checks it as it goes (shape
+from the schema, every cell >= 0, den the sum), hands that array over
+uncopied through JointTable._checked, so each input is checked once.
 """
 
 from __future__ import annotations
@@ -83,8 +88,10 @@ class JointTable:
     Entry i has probability num[i] / den; see the module docstring.
     With den omitted, num holds the probabilities: exact rationals that
     parse_rational reads in rational mode, floats in float mode.  num is
-    always copied and kept read-only; probs, the read-only probability
-    array, is built from num and den on first use in rational mode.
+    copied, checked and kept read-only; only load_counts hands over its
+    own checked array, uncopied (see _checked).  probs, the read-only
+    probability array, is built from num and den on first use in rational
+    mode.
     """
 
     schema: tuple
@@ -115,6 +122,21 @@ class JointTable:
         num.flags.writeable = False
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", 1 if den is None else den)
+
+    @classmethod
+    def _checked(cls, schema, num, den):
+        """The rational table num / den, num kept as it is and made read-only.
+
+        Only for a caller that has already established what __post_init__
+        checks: schema validated, num an object array of Python ints in the
+        schema's shape, every entry >= 0, and den their sum.
+        """
+        num.flags.writeable = False
+        table = object.__new__(cls)
+        fields = {"schema": schema, "num": num, "mode": "rational", "den": den}
+        for name, value in fields.items():
+            object.__setattr__(table, name, value)
+        return table
 
     @cached_property
     def probs(self):
@@ -243,7 +265,8 @@ def make_table(schema, probs, mode="rational"):
 def load_counts(source, schema=None):
     """Load a delimited cell table into a rational JointTable.
 
-    ``source`` is CSV text or a path-like.  The header names the variables
+    ``source`` is CSV text or a path-like (read as UTF-8); one leading
+    byte-order mark is dropped.  The header names the variables
     followed by a final ``count`` (ASCII digits) or ``prob`` column; a prob
     cell ``digits[.digits]`` is read as integers, any other (p/q, sign,
     exponent) by parse_rational, and the column must sum to 1 within 1e-6.
@@ -251,11 +274,10 @@ def load_counts(source, schema=None):
     schema the category order is first appearance per column.
     """
     if isinstance(source, os.PathLike):
-        text = os.fspath(source)
-        with open(text, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     else:
-        text = source
+        text = source.removeprefix("\ufeff")
     rows = [r for r in csv.reader(io.StringIO(text)) if "".join(r).strip()]
     if not rows:
         raise FormatError("empty file")
@@ -324,12 +346,13 @@ def load_counts(source, schema=None):
     lookup = [{c: i for i, c in enumerate(cats)} for _, cats in schema]
     for key, n in cells.items():
         num[tuple(map(dict.__getitem__, lookup, key))] = n
-    total = num.sum()
+    total = sum(cells.values())  # each key holds one cell of num
     if total == 0:
         raise EmptyDataError("all cells are zero")
     if not counts and abs(total - scale) * 10**6 > scale:
         raise FormatError(f"prob column sums to {total / scale!r}; expected 1")
-    return JointTable(schema, num, "rational", total)
+    # the cells are >= 0 and num has the schema's shape, so num is checked
+    return JointTable._checked(schema, num, total)
 
 
 # ---------------------------------------------------------------------------

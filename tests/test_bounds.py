@@ -497,6 +497,30 @@ def test_observed_cells_validation():
         ObservedCells(cond=dict(good), x_dist=(F(-1, 2), F(3, 2)))
 
 
+@pytest.mark.parametrize("x_dist, message", [
+    ((F(-1, 2), F(3, 2)), "x_dist must be two nonnegative rationals"),
+    ((2, -1), "x_dist must be two nonnegative rationals"),
+    ((0.5, 0.5), "x_dist must be two nonnegative rationals"),
+    ((F(1, 2), "1/2"), "x_dist must be two nonnegative rationals"),
+    ((F(1, 2),), "x_dist must be two nonnegative rationals"),
+    ((F(1, 2), F(1, 4), F(1, 4)), "x_dist must be two nonnegative rationals"),
+    ((F(1, 2), F(1, 3)), "x_dist must sum to exactly 1"),
+    ((F(2, 3), F(2, 3)), "x_dist must sum to exactly 1"),
+    ((1, 1), "x_dist must sum to exactly 1"),
+    ((F(1, 3), F(2, 3)), None),
+    ((0, 1), None),
+    ((F(7, 10), F(3, 10)), None),
+])
+def test_observed_cells_x_dist_messages(x_dist, message):
+    """x_dist is checked on integer ratios with the messages of the
+    Fraction sum it replaced."""
+    if message is None:
+        assert ObservedCells(cond=dict(WORKED_COND), x_dist=x_dist).x_dist == x_dist
+        return
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        ObservedCells(cond=dict(WORKED_COND), x_dist=x_dist)
+
+
 def test_cells_keep_their_own_copy_of_cond():
     """Editing the dict passed in changes neither cond nor any answer; ==,
     repr, replace and pickle see only the three fields."""

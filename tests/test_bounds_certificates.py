@@ -193,6 +193,91 @@ def test_tampered_witness_fails_certification(monkeypatch, monotone, tamper):
         certify_against_lp(cells, monotone)
 
 
+def replace_a_witness(monkeypatch, tamper):
+    """Make _sharp hand certify_against_lp tamper(x1 low witness) in place
+    of that witness."""
+    real = bounds_mod._sharp
+
+    def tampered(*args):
+        g, binding, witnesses = real(*args)
+        first = witnesses["x1"][0]
+        bad = tamper(first)
+        return g, binding, {
+            target: tuple(bad if w is first else w for w in pair)
+            for target, pair in witnesses.items()
+        }
+
+    monkeypatch.setattr(bounds_mod, "_sharp", tampered)
+
+
+def rows_met(cells, witness):
+    """For each row of the monotone two-proxy program, whether witness
+    meets it; types outside the program count as if they were in it."""
+    prog = build_program(cells, True, "x1")
+    shown = {
+        x: {v: bounds_mod.response(v, x) for v in itertools.product(range(4), repeat=3)}
+        for x in (0, 1)
+    }
+    rows = [sum(witness.values()) == 1]
+    for (t, s, x), _ in bounds_mod._constraints(True, None)[2]:
+        mass = sum(m for v, m in witness.items() if shown[x][v] == (t, s))
+        rows.append(mass == prog.equalities[len(rows)][1])
+    return rows
+
+
+def test_witness_off_on_x1_rows_only_fails_certification(monkeypatch):
+    """Mass moved between two monotone types of one Y-type that show the
+    same (T, S) under x0 but not under x1: the normalization, the x0 rows
+    and both objectives still hold, and only the one-pass check of the x1
+    rows can catch it."""
+    cells = monotone_cells(random.Random(2109))
+
+    def moved(witness):
+        for a, m in witness.items():
+            for b in MONOTONE_INDICES:
+                if (b[2] == a[2]
+                        and bounds_mod.response(b, 0) == bounds_mod.response(a, 0)
+                        and bounds_mod.response(b, 1) != bounds_mod.response(a, 1)):
+                    bad = dict(witness)
+                    bad[a] -= m / 2
+                    bad[b] = bad.get(b, F(0)) + m / 2
+                    met = rows_met(cells, bad)
+                    # rows 1-4 are x1's, 5-8 x0's
+                    assert met[0] and all(met[5:]) and met[1:5].count(False) == 2
+                    return bad
+        raise AssertionError("no type to move mass to")
+
+    certify_against_lp(cells, True)
+    replace_a_witness(monkeypatch, moved)
+    with pytest.raises(SpecError, match="^a witness is not a feasible type distribution$"):
+        certify_against_lp(cells, True)
+
+
+def test_witness_on_a_type_outside_the_program_fails_certification(monkeypatch):
+    """Mass moved to a decreasing type with the same responses under both
+    arms: every row still holds, but the type is not a column of the
+    monotone program."""
+    cells = monotone_cells(random.Random(2110))
+
+    def moved(witness):
+        for a, m in witness.items():
+            for b in itertools.product(range(4), repeat=3):
+                if b not in MONOTONE_INDICES and all(
+                    bounds_mod.response(b, x) == bounds_mod.response(a, x) for x in (0, 1)
+                ):
+                    bad = dict(witness)
+                    del bad[a]
+                    bad[b] = m
+                    assert all(rows_met(cells, bad))
+                    return bad
+        raise AssertionError("no decreasing type to move mass to")
+
+    certify_against_lp(cells, True)
+    replace_a_witness(monkeypatch, moved)
+    with pytest.raises(SpecError, match="^a witness is not a feasible type distribution$"):
+        certify_against_lp(cells, True)
+
+
 def test_wrong_dual_vector_fails_certification(monkeypatch):
     """A binding down-set whose gap is not g leaves b.y short of the value."""
     rng = random.Random(2106)
@@ -254,9 +339,24 @@ def test_lp_bounds_rejects_a_program_that_does_not_match_its_cells():
     a, b = monotone_cells(rng), monotone_cells(rng)
     for monotone, drop, target in itertools.product((True, False), DROPS, TARGETS):
         prog = build_program(a, monotone, target, drop_proxy=drop)
-        lp_bounds(prog)
+        # equal to build_program's program, but made of fresh tuples
+        fresh = dataclasses.replace(
+            prog,
+            variables=tuple(list(prog.variables)),
+            equalities=tuple(
+                (tuple(list(row)), F(b.numerator, b.denominator))
+                for row, b in prog.equalities
+            ),
+            objective=tuple(list(prog.objective)),
+        )
+        assert fresh.equalities[1][0] is not prog.equalities[1][0]
+        assert lp_bounds(fresh) == lp_bounds(prog)
         with pytest.raises(SpecError, match="does not match build_program"):
             lp_bounds(dataclasses.replace(prog, cells=b))
+        with pytest.raises(SpecError, match="does not match build_program"):
+            lp_bounds(dataclasses.replace(
+                prog, equalities=prog.equalities[:-1] + ((prog.equalities[-1][0], prog.equalities[-1][1] + 1),)
+            ))
         other = "x1" if target == "x0" else "x0"
         with pytest.raises(SpecError):
             lp_bounds(dataclasses.replace(prog, target=other))

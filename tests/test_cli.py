@@ -589,6 +589,23 @@ def write_feasible_csv(path: Path, seed: int = 3) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def test_bounds_reads_a_file_with_a_byte_order_mark(workdir, capsys):
+    """A data file saved with a byte-order mark gives the report of the same
+    file saved without one; before, its first variable was '\\ufeffX'."""
+    write_feasible_csv(workdir / "plain.csv")
+    text = (workdir / "plain.csv").read_text()
+    (workdir / "bom.csv").write_text(text, encoding="utf-8-sig")
+    reports = []
+    for data in ("plain.csv", "bom.csv"):
+        code = main([
+            "bounds", data, "--exposure", "X", "--proxies", "T,S",
+            "--method", "lp", "--monotone", "--json",
+        ])
+        assert code == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[1]["outputs"] == reports[0]["outputs"]
+
+
 def test_bounds_both_feasible_reports_deltas(workdir):
     write_feasible_csv(workdir / "feasible.csv")
     code, report = run_json([

@@ -9,9 +9,13 @@ tests/simplex_oracle.py) with ``==``, and check that no cell data survives
 from one call to the next.  lp_bounds answers every program in closed
 form, so its values are compared with ``==`` and its witnesses, which
 need not be the simplex's vertices, are checked to be valid and attaining.
+load_counts and cells_from_table, which check their inputs once as they
+build them, are held field for field to the public constructors, and one
+certified op is held to a fixed count of Fractions built.
 """
 
 import itertools
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -38,6 +42,7 @@ from causalprox import (
     build_program,
     cells_from_table,
     certify_against_lp,
+    load_counts,
     lp_bounds,
     make_program,
     sharp_bounds,
@@ -273,3 +278,135 @@ def test_cells_from_table_equals_the_marginal_route():
             assert cells_from_table(t, "X", "T", "S") == want
             checked += 1
     assert checked > 150 and zero_arms > 0
+
+
+def random_csv(rng, kind):
+    """(CSV text, schema, numerator array, den) of a seeded random table.
+
+    kind "bench" is an eight-cell X, T, S count table, "wide" adds Z (three
+    categories) and W to sum out, and "prob" is an identify-shaped prob
+    table over Z, W, U, S and T whose cells, decimals or p/q, sum to
+    exactly 1 or, with seven decimal places, to 1 - 1e-7.  Rows come in a random order and some zero cells are left
+    out; the schema lists each variable's categories in order of first
+    appearance, and the numerators are over the cells' common denominator.
+    """
+    names = {
+        "bench": ["X", "T", "S"],
+        "wide": ["X", "T", "S", "Z", "W"],
+        "prob": ["Z", "W", "U", "S", "T"],
+    }[kind]
+    rng.shuffle(names)
+    domains = [
+        [f"{n.lower()}{c}" for c in range(3 if n in "ZU" and kind != "bench" else 2)]
+        for n in names
+    ]
+    while True:
+        keys = list(itertools.product(*domains))
+        rng.shuffle(keys)
+        if kind == "prob":
+            total = rng.choice((1000, 240, 10**7))
+            mass = total - (total == 10**7)  # load_counts allows 1e-6 off
+            cuts = sorted(rng.randint(0, mass) for _ in range(len(keys) - 1))
+            weights = [b - a for a, b in zip([0] + cuts, cuts + [mass])]
+            values = [F(w, total) for w in weights]
+            places = len(str(total)) - 1
+            texts = [
+                str(v) if total == 240 else f"{w // total}.{w % total:0{places}d}"
+                for w, v in zip(weights, values)
+            ]
+        else:
+            values = [rng.choice((0, rng.randint(1, 9))) for _ in keys]
+            texts = [str(v) for v in values]
+        rows = [
+            (key, text, value) for key, text, value in zip(keys, texts, values)
+            if value or rng.random() < 0.5
+        ]
+        seen = [dict.fromkeys(key[a] for key, _, _ in rows) for a in range(len(names))]
+        if sum(value for _, _, value in rows) and all(len(s) >= 2 for s in seen):
+            break
+    schema = tuple((n, tuple(s)) for n, s in zip(names, seen))
+    den = math.lcm(*(F(v).denominator for _, _, v in rows))
+    num = np.zeros(tuple(len(s) for s in seen), dtype=object)
+    for key, _, value in rows:
+        v = F(value)
+        num[tuple(list(s).index(c) for s, c in zip(seen, key))] = v.numerator * (den // v.denominator)
+    den = int(num.sum())  # the table is normalized by the sum
+    lines = [",".join(names + ["prob" if kind == "prob" else "count"])]
+    lines += [",".join(key + (text,)) for key, text, _ in rows]
+    return "\n".join(lines) + "\n", schema, num, den
+
+
+def test_load_counts_and_the_public_constructors_build_the_same_objects():
+    """load_counts hands its checked array to the table uncopied and
+    unchecked again, and cells_from_table builds its cells through
+    ObservedCells: both give field for field what the public constructors
+    give on the same numbers, JointTable's read-only array and
+    ObservedCells' integer numerators included."""
+    rng = random.Random(2401)
+    zero_arms = 0
+    for trial in range(90):
+        kind = ("bench", "wide", "prob")[trial % 3]
+        text, schema, num, den = random_csv(rng, kind)
+        table = load_counts(text)
+        want = JointTable(schema, num.copy(), "rational", den)
+        for t in (table, want):
+            assert t.schema == schema and t.mode == "rational" and t.den == den
+            assert t.num.dtype == object and t.num.shape == num.shape
+            assert t.num.tolist() == num.tolist()
+            assert all(type(n) is int for n in t.num.flat)
+            assert not t.num.flags.writeable
+        if kind == "prob":
+            continue
+        names = [n for n, _ in schema]
+        others = tuple(a for a, n in enumerate(names) if n not in "XTS")
+        tsx = num.sum(axis=others) if others else num
+        tsx = tsx.transpose([[n for n in names if n in "XTS"].index(v) for v in "TSX"])
+        arms = [int(tsx[:, :, k].sum()) for k in (0, 1)]
+        if 0 in arms:
+            with pytest.raises(ZeroMassError):
+                cells_from_table(table, "X", "T", "S")
+            zero_arms += 1
+            continue
+        cond = {
+            (i, j, k): F(int(tsx[i, j, k]), arms[k])
+            for k in (0, 1) for i, j in itertools.product((0, 1), (0, 1))
+        }
+        want = ObservedCells(cond, tuple(F(a, den) for a in arms), ("T", "S", "X"))
+        got = cells_from_table(table, "X", "T", "S")
+        assert got == want and list(got.cond.items()) == list(want.cond.items())
+        assert (got._den, got._num) == (want._den, want._num)
+    assert zero_arms < 10
+
+
+# (T, S, X) counts of cells on which the monotone program is feasible
+FIXED_CSV = "X,T,S,count\n" + "".join(
+    f"x{k},t{i},s{j},{c}\n"
+    for k, arm in enumerate(((50, 20, 20, 10), (12, 18, 12, 18)))
+    for (i, j), c in zip(itertools.product((0, 1), (0, 1)), arm)
+)
+
+
+def test_fraction_count_of_one_certified_bounds_op(monkeypatch):
+    """A deterministic guard on the work of one `bounds --method both
+    --monotone` op: the Fractions built by cells_from_table and
+    certify_against_lp on fixed cells, counted at Fraction.__new__
+    (arithmetic between Fractions builds its result there too)."""
+    table = load_counts(FIXED_CSV)
+    built = []
+    real = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    cells = cells_from_table(table, "X", "T", "S")
+    report = certify_against_lp(cells, monotone=True)
+    monkeypatch.undo()
+    assert report.lp_status == "optimal"
+    assert report.lp["x1"].lower == F(3, 10)
+    # 8 cells, 2 x_dist entries, 8 closed-form terms, 6 witness masses and
+    # 2 lp endpoints: only values the caller receives.  A higher count is a
+    # regression; the code before this guard built 32 (two more in the
+    # x_dist check, four more for the deltas).
+    assert len(built) == 26

@@ -74,6 +74,21 @@ def test_load_counts_round_trips_education_csv():
     assert t.mass({"X": "x1", "S": "s1", "T": "t1"}) == F(648, 10000)
 
 
+def test_load_counts_drops_a_byte_order_mark(tmp_path):
+    """A file saved with a byte-order mark, as spreadsheet exports often
+    are, keeps its first variable name; so does text that starts with one.
+    Only one leading mark is dropped."""
+    text = education_table_csv()
+    plain = load_counts(text)
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    for table in (load_counts(path), load_counts("\ufeff" + text)):
+        assert table.schema == plain.schema and table.variables[0] == "X"
+        assert table.den == plain.den and (table.num == plain.num).all()
+    assert load_counts("\ufeff\ufeff" + text).variables[0] == "\ufeffX"
+
+
 def test_load_counts_prob_column_accepts_rationals_and_decimals():
     t = load_counts("A,prob\na0,1/4\na1,0.75\n")
     assert t.prob({"A": "a0"}) == F(1, 4)
