@@ -9,12 +9,10 @@ Three layers:
   of a k-category latent variable from two conditionally independent
   proxies plus an anchor, per stratum, via a matrix-pencil eigenproblem,
   with synthetic ground-truth models for validation;
-- partial identification (`bounds`, `lp`): sharp LP bounds on
-  interventional probabilities from proxy response types when the
-  point-identification assumptions fail, in closed form and proved by
-  exact LP certificates, cross-checked closed forms, and an exact
-  rational simplex, `lp.solve`, kept as the general LP off every bounds
-  path.
+- partial identification (`bounds`): sharp LP bounds on interventional
+  probabilities from proxy response types when the point-identification
+  assumptions fail, in closed form and proved by exact LP certificates,
+  with cross-checked closed forms; the package runs no LP solver.
 
 The `causalprox` command line fronts all of it; `fixtures` carries the
 shared worked example.
@@ -94,12 +92,6 @@ from .graph import (
     find_open_path,
     satisfies_backdoor,
     satisfies_frontdoor,
-)
-from .lp import (
-    LinearProgram,
-    LPResult,
-    make_program,
-    solve,
 )
 from .synth import (
     LatentModelSpec,

@@ -20,8 +20,8 @@ monotone coupling of the two arms.  The lp_bounds docstring proves it.
 certify_against_lp re-proves each answer against build_program's rows
 with exact certificates: each witness meets every row and attains its
 endpoint, a dual vector bounds each endpoint by weak duality, and a
-Farkas ray proves infeasibility.  The simplex of lp.py stays the
-library's general exact LP and the tests' oracle; no bounds path runs it.
+Farkas ray proves infeasibility.  The package has no LP solver; the
+tests hold these answers to a Fraction simplex and to vertex enumeration.
 Every witness is a support: only the types with positive mass.
 
 Closed-form four-term bounds for the monotone variant are evaluated
@@ -40,7 +40,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import FormatError, InfeasibleError, SpecError, ZeroMassError
-from .lp import LinearProgram
 from .ratio import parse_rational
 from .table import JointTable, lcm_numerators
 
@@ -214,14 +213,6 @@ class CounterfactualProgram:
     monotone: bool
     dropped: Optional[str]
     cells: ObservedCells
-
-    def lp(self, sense: str) -> LinearProgram:
-        return LinearProgram(
-            n=len(self.variables),
-            equalities=self.equalities,
-            objective=self.objective,
-            sense=sense,
-        )
 
 
 def stratum_equation_indices(t: int, s: int, x: int, indices=ALL_INDICES):

@@ -17,6 +17,9 @@ The public constructor copies and checks what it is given.  load_counts,
 which builds its array from the CSV cells and checks it as it goes (shape
 from the schema, every cell >= 0, den the sum), hands that array over
 uncopied through JointTable._checked, so each input is checked once.
+marginal and condition do the same with the sums and blocks they take
+from a rational table, which are checked already; float tables go
+through the public constructor.
 """
 
 from __future__ import annotations
@@ -88,10 +91,10 @@ class JointTable:
     Entry i has probability num[i] / den; see the module docstring.
     With den omitted, num holds the probabilities: exact rationals that
     parse_rational reads in rational mode, floats in float mode.  num is
-    copied, checked and kept read-only; only load_counts hands over its
-    own checked array, uncopied (see _checked).  probs, the read-only
-    probability array, is built from num and den on first use in rational
-    mode.
+    copied, checked and kept read-only; only load_counts, marginal and
+    condition hand over arrays they know are checked, uncopied (see
+    _checked).  probs, the read-only probability array, is built from num
+    and den on first use in rational mode.
     """
 
     schema: tuple
@@ -200,6 +203,8 @@ class JointTable:
         drop = tuple(i for i, (name, _) in enumerate(self.schema) if name not in keep)
         num = self.num.sum(axis=drop) if drop else self.num
         schema = tuple(entry for entry in self.schema if entry[0] in keep)
+        if self.mode == "rational":  # sums of checked numerators, den in total
+            return JointTable._checked(schema, np.asarray(num, dtype=object), self.den)
         return JointTable(schema, num, self.mode, self.den)
 
     def condition(self, assignment):
@@ -209,8 +214,8 @@ class JointTable:
         if total == 0:
             raise ZeroMassError(f"conditioning event {assignment!r} has zero probability")
         schema = tuple(e for e in self.schema if e[0] not in assignment)
-        if self.mode == "rational":
-            return JointTable(schema, block, "rational", total)
+        if self.mode == "rational":  # a checked block over its own sum
+            return JointTable._checked(schema, block, total)
         return JointTable(schema, block / total, "float", 1)
 
     # -- conversions ---------------------------------------------------------

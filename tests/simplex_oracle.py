@@ -1,20 +1,70 @@
-"""Reference two-phase simplex over Fraction tableaux, kept for the test suite.
+"""The test suite's exact LP: program types and a Fraction simplex.
 
-This is the solver causalprox.lp used before its integer (fraction-free)
-tableau: a dense Fraction tableau whose reduced costs are rebuilt from
-scratch on every iteration, with a separate phase 1 for every solve.  It
-is slow but plainly correct, and it takes the same Bland pivot sequence, so
-tests require `causalprox.lp.solve(lp) == oracle_solve(lp)` on the whole
-LPResult, witness included.
-
-`_Tableau` and `oracle_solve` (there named `solve`) are that code
-unchanged; `_Q`, `_coerce` and `_fraction` stand in for its helpers, with
-Fraction as the only number type.
+LinearProgram, make_program and LPResult are the plain types of a
+program min or max c.x subject to A x = b, x >= 0 and of its answer.
+oracle_solve() is a dense two-phase simplex over Fraction tableaux under
+Bland's rule, whose reduced costs are rebuilt from scratch on every
+iteration: slow but plainly correct, exact and deterministic.  The
+package answers its bounds programs in closed form and solves no LP;
+the tests hold those answers to oracle_solve, and oracle_solve itself to
+vertex enumeration (tests/vertex_oracle.py).  program_lp() turns a
+CounterfactualProgram into the LinearProgram of one sense.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
-from causalprox.lp import LinearProgram, LPResult
+from causalprox.errors import FormatError
+from causalprox.ratio import parse_rational
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """min or max objective.x over A x = b, x >= 0, all entries rational."""
+
+    n: int
+    equalities: tuple  # of (coefficient row, rhs)
+    objective: tuple
+    sense: str = "min"
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise FormatError("at least one variable required")
+        if self.sense not in ("min", "max"):
+            raise FormatError(f"unknown sense {self.sense!r}")
+        if len(self.objective) != self.n:
+            raise FormatError("objective length does not match variable count")
+        for row, _ in self.equalities:
+            if len(row) != self.n:
+                raise FormatError("equality row length does not match variable count")
+
+
+def make_program(n, equalities, objective, sense="min") -> LinearProgram:
+    """Coerce arbitrary rational-like entries into a LinearProgram."""
+    eqs = tuple(
+        (tuple(map(parse_rational, row)), parse_rational(b)) for row, b in equalities
+    )
+    obj = tuple(parse_rational(c) for c in objective)
+    return LinearProgram(n=n, equalities=eqs, objective=obj, sense=sense)
+
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str  # optimal | infeasible | unbounded
+    value: Optional[Fraction]
+    witness: Optional[tuple]
+
+
+def program_lp(prog, sense: str) -> LinearProgram:
+    """The LinearProgram of a CounterfactualProgram under sense."""
+    return LinearProgram(
+        n=len(prog.variables),
+        equalities=prog.equalities,
+        objective=prog.objective,
+        sense=sense,
+    )
+
 
 _Q = Fraction
 

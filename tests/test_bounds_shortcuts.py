@@ -1,12 +1,11 @@
-"""lp_bounds without the simplex, on every program shape.
+"""lp_bounds without a simplex, on every program shape.
 
 Unrestricted programs are answered with [0, 1] and two product witnesses,
 monotone cells that break a stochastic-order condition are rejected, and
 every other monotone program is answered in closed form with greedy
 coupling witnesses.  These tests hold each answer to the Fraction simplex
 (tests/simplex_oracle.py) and to the per-call program
-(tests/bounds_oracle.py), check that the simplex of causalprox.lp never
-runs, and check that every witness is a support.
+(tests/bounds_oracle.py), and check that every witness is a support.
 """
 
 import itertools
@@ -15,7 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 from bounds_oracle import assert_attaining_support, random_cells
-from simplex_oracle import oracle_solve
+from simplex_oracle import oracle_solve, program_lp
 
 from causalprox import (
     InfeasibleError,
@@ -23,7 +22,6 @@ from causalprox import (
     build_program,
     certify_against_lp,
     lp_bounds,
-    solve,
 )
 
 DROPS = (None, "s", "t")
@@ -62,7 +60,7 @@ def breaks_order(cells, drop):
     return not all(holds[n] for n in kept)
 
 
-def test_unrestricted_shapes_need_no_simplex(simplex_calls):
+def test_unrestricted_shapes_need_no_simplex():
     """Seeded random cells plus two arbitrary pairs of arms, one with zero
     cells in both arms."""
     rng = random.Random(2001)
@@ -71,24 +69,23 @@ def test_unrestricted_shapes_need_no_simplex(simplex_calls):
         for drop, target in itertools.product(DROPS, TARGETS):
             prog = build_program(cells, False, target, drop_proxy=drop)
             res = lp_bounds(prog)
-            want = [oracle_solve(prog.lp(sense)) for sense in ("min", "max")]
+            want = [oracle_solve(program_lp(prog, sense)) for sense in ("min", "max")]
             assert (res.lower, res.upper) == tuple(w.value for w in want)
             assert (res.lower, res.upper) == (0, 1)
             assert_attaining_support(prog, res)
-    assert simplex_calls == []
 
 
-def test_pretest_is_sound_on_every_monotone_shape(simplex_calls):
+def test_pretest_is_sound_on_every_monotone_shape():
     """The order test is exact: a rejection means the Fraction simplex finds
     the program infeasible, and a pass means it is feasible, with the
-    simplex's optimal values and attaining witnesses, and no simplex run."""
+    simplex's optimal values and attaining witnesses."""
     rng = random.Random(2002)
     outcomes = {"rejected": 0, "passed": 0}
     for _ in range(30):
         cells = random_cells(rng)
         for drop, target in itertools.product(DROPS, TARGETS):
             prog = build_program(cells, True, target, drop_proxy=drop)
-            lower, upper = (oracle_solve(prog.lp(s)) for s in ("min", "max"))
+            lower, upper = (oracle_solve(program_lp(prog, s)) for s in ("min", "max"))
             if breaks_order(cells, drop):
                 assert lower.status == upper.status == "infeasible"
                 with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
@@ -100,7 +97,6 @@ def test_pretest_is_sound_on_every_monotone_shape(simplex_calls):
             res = lp_bounds(prog)
             assert (res.lower, res.upper) == (lower.value, upper.value)
             assert_attaining_support(prog, res)
-    assert simplex_calls == []
     assert min(outcomes.values()) > 20
 
 
@@ -124,37 +120,34 @@ BROKEN_DOWN_SETS = {
 
 
 @pytest.mark.parametrize("broken", range(4), ids=list(ONE_BROKEN))
-def test_each_two_proxy_condition_rejects_alone(simplex_calls, broken):
+def test_each_two_proxy_condition_rejects_alone(broken):
     """The error carries the broken condition's down-set and its masses."""
     cells = arms(*list(ONE_BROKEN.values())[broken])
     assert order_conditions(cells) == tuple(i != broken for i in range(4))
     down_set, measured, threshold = list(BROKEN_DOWN_SETS.values())[broken]
     for target in TARGETS:
         prog = build_program(cells, True, target)
-        assert oracle_solve(prog.lp("min")).status == "infeasible"
+        assert oracle_solve(program_lp(prog, "min")).status == "infeasible"
         with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$") as exc:
             lp_bounds(prog)
         got = exc.value
         assert set(got.down_set) == set(down_set)
         assert (got.measured, got.threshold) == (measured, threshold)
-    assert simplex_calls == []
 
 
 @pytest.mark.parametrize("drop, broken", [("s", "T=0"), ("t", "S=0")])
-def test_one_proxy_condition_rejects(simplex_calls, drop, broken):
+def test_one_proxy_condition_rejects(drop, broken):
     """Keeping T (drop s), P(T=0|x1) > P(T=0|x0) is infeasible; keeping S,
     P(S=0|x1) > P(S=0|x0) is.  The other proxy's program is then feasible."""
     cells = arms(*ONE_BROKEN[broken])
     for target in TARGETS:
         prog = build_program(cells, True, target, drop_proxy=drop)
-        assert oracle_solve(prog.lp("min")).status == "infeasible"
+        assert oracle_solve(program_lp(prog, "min")).status == "infeasible"
         with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
             lp_bounds(prog)
-        assert simplex_calls == []
         other = build_program(cells, True, target, drop_proxy="t" if drop == "s" else "s")
-        assert oracle_solve(other.lp("min")).status == "optimal"
+        assert oracle_solve(program_lp(other, "min")).status == "optimal"
         assert_attaining_support(other, lp_bounds(other))
-    assert simplex_calls == []
 
 
 def test_no_witness_holds_a_zero_mass():
@@ -178,26 +171,22 @@ def test_no_witness_holds_a_zero_mass():
 
 
 @pytest.mark.slow
-def test_shortcuts_wide_sweep(simplex_calls):
-    """3000 cell sets on all twelve shapes against the integer simplex,
-    which equals the Fraction simplex on every build_program variant
-    (tests/test_lp.py)."""
+def test_shortcuts_wide_sweep():
+    """3000 cell sets on all twelve shapes against the Fraction simplex."""
     rng = random.Random(2004)
     rejected = 0
     for _ in range(3000):
         cells = random_cells(rng)
         for monotone, drop, target in itertools.product((True, False), DROPS, TARGETS):
             prog = build_program(cells, monotone, target, drop_proxy=drop)
-            lower, upper = (solve(prog.lp(s)) for s in ("min", "max"))
-            simplex_calls.clear()
+            lower, upper = (oracle_solve(program_lp(prog, s)) for s in ("min", "max"))
             if lower.status == "infeasible":
                 assert monotone
                 with pytest.raises(InfeasibleError, match=f"^{MESSAGE}$"):
                     lp_bounds(prog)
-                rejected += not simplex_calls
+                rejected += 1
                 continue
             res = lp_bounds(prog)
-            assert simplex_calls == []
             assert (res.lower, res.upper) == (lower.value, upper.value)
             assert_attaining_support(prog, res)
     assert rejected > 1000

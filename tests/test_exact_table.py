@@ -24,7 +24,6 @@ from causalprox import (
     cross_moment_matrices,
     generate_latent_model,
     load_counts,
-    make_program,
     make_table,
     random_latent_spec,
 )
@@ -217,7 +216,7 @@ def test_digit_separators_are_rejected_in_every_column():
     with pytest.raises(FormatError, match="count must be a nonnegative integer"):
         load_counts("A,count\na0,1_0\na1,3\n")
     with pytest.raises(FormatError, match="not a rational number"):
-        make_program(1, [(("1_0",), "1")], ("1",))
+        parse_rational("1_0")
 
 
 def test_decimal_string_matches_division_oracle():
@@ -347,7 +346,7 @@ def test_unicode_digit_rational_is_a_format_error():
     with pytest.raises(FormatError, match="not a rational number"):
         load_counts("A,prob\na0,\u0660.\u0665\na1,0.5\n")
     with pytest.raises(FormatError, match="not a rational number"):
-        make_program(1, [(("\u0661",), "\u0661")], ("\u0661",))
+        parse_rational("\u0661")
     assert parse_rational(" 1/2 ") == Fraction(1, 2)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from bounds_oracle import assert_attaining_support
-from simplex_oracle import oracle_solve
+from simplex_oracle import LinearProgram, make_program, oracle_solve, program_lp
 from vertex_oracle import (
     enumerate_vertices,
     enumerate_vertices_every_basis,
@@ -16,11 +16,8 @@ from vertex_oracle import (
 from causalprox import (
     FormatError,
     InfeasibleError,
-    LinearProgram,
     ObservedCells,
     SizeError,
-    make_program,
-    solve,
 )
 from causalprox.bounds import (
     ALL_INDICES,
@@ -37,14 +34,14 @@ def test_two_variable_interval():
     lp_min = make_program(
         n=2, equalities=[((1, 1), 1)], objective=(1, 0), sense="min"
     )
-    res = solve(lp_min)
+    res = oracle_solve(lp_min)
     assert res.status == "optimal"
     assert res.value == 0
     assert res.witness == (F(0), F(1))
     lp_max = make_program(
         n=2, equalities=[((1, 1), 1)], objective=(1, 0), sense="max"
     )
-    res = solve(lp_max)
+    res = oracle_solve(lp_max)
     assert res.value == 1
     assert res.witness == (F(1), F(0))
 
@@ -56,7 +53,7 @@ def test_exact_rational_objective():
         objective=(F(1, 2), F(1, 5), F(1, 7)),
         sense="min",
     )
-    res = solve(lp)
+    res = oracle_solve(lp)
     assert res.status == "optimal"
     val = sum(c * w for c, w in zip(lp.objective, res.witness))
     assert val == res.value
@@ -66,12 +63,12 @@ def test_exact_rational_objective():
 
 def test_infeasible_and_unbounded_statuses():
     bad = make_program(n=2, equalities=[((1, 1), -1)], objective=(1, 0), sense="min")
-    res = solve(bad)
+    res = oracle_solve(bad)
     assert res.status == "infeasible"
     assert res.value is None and res.witness is None
 
     free = make_program(n=2, equalities=[((1, -1), 0)], objective=(-1, 0), sense="min")
-    res = solve(free)
+    res = oracle_solve(free)
     assert res.status == "unbounded"
 
 
@@ -82,12 +79,12 @@ def test_zero_rows_and_redundant_rows():
         objective=(0, 1),
         sense="max",
     )
-    res = solve(lp)
+    res = oracle_solve(lp)
     assert res.status == "optimal" and res.value == 1
     contradictory = make_program(
         n=2, equalities=[((0, 0), 1)], objective=(0, 1), sense="max"
     )
-    assert solve(contradictory).status == "infeasible"
+    assert oracle_solve(contradictory).status == "infeasible"
 
 
 def test_solve_is_deterministic():
@@ -102,9 +99,9 @@ def test_solve_is_deterministic():
             eqs.append((tuple(a), sum(x * y for x, y in zip(a, point))))
         obj = tuple(F(rng.randint(-4, 4)) for _ in range(n))
         lp = make_program(n=n, equalities=eqs, objective=obj, sense="min")
-        first = solve(lp)
+        first = oracle_solve(lp)
         for _ in range(3):
-            again = solve(lp)
+            again = oracle_solve(lp)
             assert again.status == first.status
             assert again.value == first.value
             assert again.witness == first.witness
@@ -128,7 +125,7 @@ def test_solve_agrees_with_vertex_enumeration_randomized():
         obj = tuple(F(rng.randint(-5, 5)) for _ in range(n))
         for sense in ("min", "max"):
             lp = make_program(n=n, equalities=eqs, objective=obj, sense=sense)
-            res = solve(lp)
+            res = oracle_solve(lp)
             vo = vertex_optimum(enumerate_vertices(eqs, n), obj, sense)
             statuses[res.status] += 1
             if res.status == "optimal":
@@ -144,7 +141,7 @@ def test_solve_agrees_with_vertex_enumeration_randomized():
 def test_witness_is_an_enumerated_vertex():
     eqs = [((1, 1, 1, 0), 2), ((0, 1, -1, 1), 0)]
     lp = make_program(n=4, equalities=eqs, objective=(3, 1, 4, 1), sense="min")
-    res = solve(lp)
+    res = oracle_solve(lp)
     verts = enumerate_vertices(eqs, 4)
     assert res.witness in verts
 
@@ -245,16 +242,6 @@ def test_program_validation():
         make_program(n=2, equalities=[((1, 1), 1)], objective=(1,), sense="min")
 
 
-def test_inexact_entries_raise_format_error_whatever_is_cached():
-    """An unhashable entry, or a float equal to a rational just solved,
-    in a row or in the objective is rejected as on a first call."""
-    assert solve(LinearProgram(1, (((F(1),), 1),), (F(1),))).status == "optimal"
-    malformed = [(([1],), (1,)), ((1,), ([1],)), ((1.0,), (1,)), ((1,), (1.0,))]
-    for row, objective in malformed:
-        with pytest.raises(FormatError, match="expected an exact rational"):
-            solve(LinearProgram(1, ((row, 1),), objective))
-
-
 def test_program_json_round_trip():
     lp = make_program(
         n=3,
@@ -266,7 +253,7 @@ def test_program_json_round_trip():
     assert payload["sense"] == "max"
     back = program_from_json(payload)
     assert back == lp
-    assert solve(back).value == solve(lp).value
+    assert oracle_solve(back).value == oracle_solve(lp).value
     with pytest.raises(FormatError):
         program_from_json({"n": 2, "eq": [], "sense": "min"})
     with pytest.raises(FormatError):
@@ -290,12 +277,12 @@ def test_full_monotone_program_vertex_cross_check():
     q = {idx: F(p, 1000) for idx, p in zip(MONOTONE_INDICES, parts)}
     cells = cells_from_types(q)
     prog = build_program(cells, monotone=True, target="x1")
-    lp_min = prog.lp("min")
+    lp_min = program_lp(prog, "min")
     verts = enumerate_vertices(lp_min.equalities, lp_min.n)
     assert verts
     for sense in ("min", "max"):
-        lp = prog.lp(sense)
-        res = solve(lp)
+        lp = program_lp(prog, sense)
+        res = oracle_solve(lp)
         vals = [sum(c * v for c, v in zip(lp.objective, vert)) for vert in verts]
         want = min(vals) if sense == "min" else max(vals)
         assert res.status == "optimal"
@@ -303,9 +290,8 @@ def test_full_monotone_program_vertex_cross_check():
 
 
 # ---------------------------------------------------------------------------
-# The integer simplex against the Fraction simplex it replaced
-# (tests/simplex_oracle.py): same Bland pivots, so the whole LPResult,
-# witness included, must be equal.
+# The Fraction simplex against vertex enumeration on random programs, and
+# lp_bounds against the Fraction simplex on every build_program variant
 
 DENOMINATORS = (1, 1, 2, 3, 5, 12, 97)
 
@@ -382,34 +368,6 @@ def _bounds_programs(rng, cell_sets):
             yield build_program(cells, monotone, target, drop_proxy=drop)
 
 
-def _check_bounds_programs(rng, cell_sets):
-    """solve == oracle on both senses of every variant; returns the statuses."""
-    statuses = Counter()
-    for prog in _bounds_programs(rng, cell_sets):
-        for sense in ("min", "max"):
-            lp = prog.lp(sense)
-            res = solve(lp)
-            assert res == oracle_solve(lp), (prog.monotone, prog.target, prog.dropped)
-            statuses[res.status] += 1
-    return statuses
-
-
-def test_solve_matches_fraction_oracle_on_random_programs():
-    rng = random.Random(4001)
-    statuses = Counter()
-    for _ in range(2000):
-        lp = _random_program(rng)
-        res = solve(lp)
-        assert res == oracle_solve(lp), program_to_json(lp)
-        statuses[res.status] += 1
-    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 300
-
-
-def test_solve_matches_fraction_oracle_on_every_build_program_variant():
-    statuses = _check_bounds_programs(random.Random(11), 3)
-    assert statuses["optimal"] and statuses["infeasible"]
-
-
 def test_lp_bounds_matches_two_separate_solves():
     """lp_bounds solves no LP; its values equal the Fraction simplex's min
     and max, and its witnesses, which need not be the simplex's vertices,
@@ -417,7 +375,7 @@ def test_lp_bounds_matches_two_separate_solves():
     rng = random.Random(12)
     outcomes = Counter()
     for prog in _bounds_programs(rng, 6):
-        lower, upper = oracle_solve(prog.lp("min")), oracle_solve(prog.lp("max"))
+        lower, upper = (oracle_solve(program_lp(prog, s)) for s in ("min", "max"))
         if lower.status == "infeasible":
             assert upper.status == "infeasible"
             with pytest.raises(InfeasibleError):
@@ -431,10 +389,33 @@ def test_lp_bounds_matches_two_separate_solves():
     assert outcomes["optimal"] and outcomes["infeasible"]
 
 
-@pytest.mark.slow
-def test_solve_matches_fraction_oracle_wide_sweep():
-    rng = random.Random(4002)
-    for _ in range(18000):
+def _check_against_vertices(seed, count):
+    """oracle_solve against vertex enumeration on count _random_program
+    draws; returns the statuses."""
+    rng = random.Random(seed)
+    statuses = Counter()
+    for _ in range(count):
         lp = _random_program(rng)
-        assert solve(lp) == oracle_solve(lp), program_to_json(lp)
-    _check_bounds_programs(rng, 84)  # 84 cell sets x 12 variants x 2 senses
+        res = oracle_solve(lp)
+        verts = enumerate_vertices(lp.equalities, lp.n)
+        best = vertex_optimum(verts, lp.objective, lp.sense)
+        if res.status == "infeasible":
+            assert best is None, program_to_json(lp)
+        else:  # an unbounded program still has a vertex
+            assert best is not None, program_to_json(lp)
+        if res.status == "optimal":
+            assert res.value == best[0], program_to_json(lp)
+            assert res.witness in verts, program_to_json(lp)
+        statuses[res.status] += 1
+    return statuses
+
+
+def test_oracle_solve_agrees_with_vertex_enumeration_on_random_programs():
+    statuses = _check_against_vertices(4001, 2000)
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 300
+
+
+@pytest.mark.slow
+def test_oracle_solve_agrees_with_vertex_enumeration_wide_sweep():
+    statuses = _check_against_vertices(4002, 18000)
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) > 300

@@ -1,23 +1,23 @@
 """Brute-force LP oracle and program serialization, kept for the test suite.
 
-These lived in causalprox.lp until only tests used them.  enumerate_vertices()
-lists every basic feasible solution of {A x = b, x >= 0} by trying each
-basis column subset that holds no two identical columns (such a subset is
-singular, so skipping it loses no vertex), and vertex_optimum() picks the
-best of such a list,
-so every objective over one polytope shares one enumeration; together
-they are an optimality check for the simplex on small instances that
-shares no code with it.  program_to_json() and
-program_from_json() turn a LinearProgram into strings and back, so a
-failing program can be printed exactly.
+enumerate_vertices() lists every basic feasible solution of
+{A x = b, x >= 0} by trying each basis column subset that holds no two
+identical columns (such a subset is singular, so skipping it loses no
+vertex), and vertex_optimum() picks the best of such a list, so every
+objective over one polytope shares one enumeration.  Together they check
+the optimality of tests/simplex_oracle.py's simplex on small instances
+with no code shared with it.  program_to_json() and program_from_json()
+turn a LinearProgram into strings and back, so a failing program can be
+printed exactly.
 """
 
 import itertools
 from fractions import Fraction
 from math import comb
 
+from simplex_oracle import LinearProgram, make_program
+
 from causalprox.errors import FormatError, SizeError
-from causalprox.lp import LinearProgram, make_program
 from causalprox.ratio import parse_rational
 
 MAX_VERTEX_VARIABLES = 64
