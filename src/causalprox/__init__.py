@@ -97,6 +97,7 @@ from .synth import (
     LatentModelSpec,
     generate_latent_model,
     random_latent_spec,
+    spec_design,
     spec_margins,
 )
 from .table import (

@@ -39,7 +39,7 @@ from .graph import (
     satisfies_frontdoor,
 )
 from .ratio import decimal_string, rational_json
-from .synth import generate_latent_model, random_latent_spec, spec_margins
+from .synth import generate_latent_model, random_latent_spec, spec_design, spec_margins
 from .table import JointTable, load_counts
 
 EXIT_OK = 0
@@ -477,29 +477,11 @@ def _spec_json(spec) -> dict:
     return payload
 
 
-def _auto_design(spec) -> ProxyDesign:
-    k = spec.k
-    return ProxyDesign(
-        latent_name=spec.latent_name,
-        latent_categories=spec.latent_categories,
-        s_vars=(spec.s_name,),
-        t_vars=(spec.t_name,),
-        w_vars=(spec.w_name,),
-        z_vars=(spec.z_name,) if spec.z_name else (),
-        s_select=tuple((c,) for c in spec.s_categories[1:k]),
-        t_select=tuple((c,) for c in spec.t_categories[1:k]),
-        w_value=(spec.w_categories[1],),
-        order_known=spec.order_identifiable,
-    )
-
-
 def _observable_csv(observable: JointTable) -> str:
-    header = ",".join(list(observable.variables) + ["prob"])
-    lines = [header]
-    axes = [observable.categories(v) for v in observable.variables]
-    for combo in itertools.product(*axes):
-        mass = observable.prob(dict(zip(observable.variables, combo)))
-        lines.append(",".join(list(combo) + [decimal_string(mass)]))
+    lines = [",".join(observable.variables + ("prob",))]
+    combos = itertools.product(*(cats for _, cats in observable.schema))
+    for combo, mass in zip(combos, observable.probs.flat):  # both row-major
+        lines.append(",".join(combo + (decimal_string(mass),)))
     return "\n".join(lines) + "\n"
 
 
@@ -513,7 +495,7 @@ def cmd_simulate(args) -> int:
     rng = random.Random(args.seed)
     spec = random_latent_spec(rng, k=args.k, n_strata=args.strata)
     truth, observable = generate_latent_model(spec)
-    design = _auto_design(spec)
+    design = spec_design(spec)
     latent_vars = [spec.latent_name, spec.w_name] + (
         [spec.z_name] if spec.z_name else []
     )

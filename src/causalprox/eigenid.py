@@ -295,11 +295,11 @@ def cross_moment_matrices(
     has no mass.
     """
     stratum = dict(stratum or {})
-    if table._block(stratum).sum() == 0:
-        raise ZeroMassError(f"stratum {stratum!r} has zero mass")
-    # an anchor value outside the table raises the table's own error here
-    table._block(dict(zip(design.w_vars, design.w_value)))
+    for var, value in zip(design.w_vars, design.w_value):
+        table._index_of(var, value)  # an unknown anchor value raises the table's error
     counts, totals, _, anchor = _moment_stack(table, design, stratum, ())
+    if totals[0] == 0:
+        raise ZeroMassError(f"stratum {stratum!r} has zero mass")
     # int / Fraction is exact; float tables divide as floats
     total = Fraction(totals[0]) if counts.dtype == object else totals[0]
     return StratumMatrices(tuple(sorted(stratum.items())),

@@ -68,11 +68,6 @@ class IdentificationError(CausalProxError):
 
     code = "E_IDENT"
 
-    def __init__(self, message, code=None):
-        super().__init__(message)
-        if code is not None:
-            self.code = code
-
 
 class SingularMatrixError(IdentificationError):
     code = "E_SINGULAR"

@@ -10,11 +10,12 @@ makes it usable as a recovery oracle.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from .eigenid import ProxyDesign
 from .graph import CausalDiagram, build_diagram
-from .synth import LatentModelSpec, generate_latent_model
+from .synth import LatentModelSpec, generate_latent_model, spec_design
 from .table import JointTable, load_counts
 
 #: joint masses * 10^4, keyed (x, s, t) with category index 0/1
@@ -116,18 +117,7 @@ def education_model() -> LatentModelSpec:
 
 def education_design() -> ProxyDesign:
     """Role assignment for recovering Y from the data table."""
-    return ProxyDesign(
-        latent_name="Y",
-        latent_categories=("y1", "y2"),
-        s_vars=("S",),
-        t_vars=("T",),
-        w_vars=("X",),
-        z_vars=(),
-        s_select=(("s1",),),
-        t_select=(("t1",),),
-        w_value=("x1",),
-        order_known=True,
-    )
+    return spec_design(education_model())
 
 
 def uninformative_anchor_table() -> JointTable:
@@ -137,29 +127,5 @@ def uninformative_anchor_table() -> JointTable:
     cross-moment matrix is exactly 0.3 times the plain one and the pencil
     spectrum collapses to a repeated eigenvalue: recovery must refuse.
     """
-    spec = LatentModelSpec(
-        latent_name="Y",
-        latent_categories=("y1", "y2"),
-        s_name="S",
-        s_categories=("s0", "s1"),
-        t_name="T",
-        t_categories=("t0", "t1"),
-        w_name="X",
-        w_categories=("x0", "x1"),
-        prior=((Fraction(9, 20), Fraction(11, 20)),),
-        s_emission=((
-            (Fraction(7, 10), Fraction(3, 10)),
-            (Fraction(2, 5), Fraction(3, 5)),
-        ),),
-        t_emission=((
-            (Fraction(1, 5), Fraction(4, 5)),
-            (Fraction(4, 5), Fraction(1, 5)),
-        ),),
-        w_emission=((
-            (Fraction(7, 10), Fraction(3, 10)),
-            (Fraction(7, 10), Fraction(3, 10)),
-        ),),
-        order_identifiable=True,
-    )
-    _, observable = generate_latent_model(spec)
-    return observable
+    flat = (Fraction(7, 10), Fraction(3, 10))
+    return generate_latent_model(replace(education_model(), w_emission=((flat, flat),)))[1]

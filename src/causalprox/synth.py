@@ -4,9 +4,10 @@ A LatentModelSpec fixes a latent variable U, two proxy variables S and T,
 an anchor variable W, and optionally a stratum variable Z, together with
 exact conditional tables.  generate_latent_model turns a spec into the
 implied ground-truth joint and its observable margin, which is what the
-identification pipeline sees.  random_latent_spec rejection-samples specs
-that keep a documented margin on every identifiability requirement so
-recovery tests have numerical headroom.
+identification pipeline sees, and spec_design the design that recovers
+its latent variable.  random_latent_spec rejection-samples specs that keep
+a documented margin on every identifiability requirement so recovery
+tests have numerical headroom.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import Optional
 
 import numpy as np
 
+from .eigenid import ProxyDesign
 from .errors import SpecError
-from .table import JointTable, _validate_schema, lcm_numerators, over_lcm
+from .table import JointTable, lcm_numerators, over_lcm
 
 DENOM = 10**4
 #: margins and names every random_latent_spec draw uses
@@ -150,7 +152,7 @@ def generate_latent_model(spec: LatentModelSpec):
     # LCM of the cells' reduced denominators gives
     g = math.gcd(den, *num.flat)
     num = np.moveaxis(num // g, 0, -1) if spec.z_name else (num // g)[0]
-    truth = JointTable(_validate_schema(schema), num, "rational", den // g)
+    truth = JointTable(schema, num, "rational", den // g)
     observable = truth.marginal([name for name, _ in schema[1:]])
     return truth, observable
 
@@ -352,3 +354,21 @@ def spec_margins(spec: LatentModelSpec) -> dict:
         "anchor_gap": anchor_gap,
         "pencil_sigma": sigma,
     }
+
+
+def spec_design(spec: LatentModelSpec) -> ProxyDesign:
+    """The design that recovers a spec's latent variable: proxy categories
+    1..k-1 as the s and t events, the anchor's second category as w_value."""
+    k = spec.k
+    return ProxyDesign(
+        latent_name=spec.latent_name,
+        latent_categories=spec.latent_categories,
+        s_vars=(spec.s_name,),
+        t_vars=(spec.t_name,),
+        w_vars=(spec.w_name,),
+        z_vars=(spec.z_name,) if spec.z_name else (),
+        s_select=tuple((c,) for c in spec.s_categories[1:k]),
+        t_select=tuple((c,) for c in spec.t_categories[1:k]),
+        w_value=(spec.w_categories[1],),
+        order_known=spec.order_identifiable,
+    )

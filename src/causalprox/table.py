@@ -13,10 +13,11 @@ Tables are immutable and their arrays read-only.  Category order inside
 each variable follows the declared schema, never the order rows happen
 to appear in a data file when a schema is supplied.
 
-The public constructor copies and checks what it is given.  load_counts,
-which builds its array from the CSV cells and checks it as it goes (shape
-from the schema, every cell >= 0, den the sum), hands that array over
-uncopied through JointTable._checked, so each input is checked once.
+The public constructor validates the schema, then copies and checks
+what it is given.  load_counts, which builds its array from the CSV
+cells and checks it as it goes (shape from the schema, every cell >= 0,
+den the sum), hands that array over uncopied through JointTable._checked,
+so each input is checked once.
 marginal and condition do the same with the sums and blocks they take
 from a rational table, which are checked already; float tables go
 through the public constructor.
@@ -105,6 +106,8 @@ class JointTable:
     def __post_init__(self):
         if self.mode not in ("rational", "float"):
             raise FormatError(f"unknown table mode {self.mode!r}")
+        # marginal([]) and a full condition() give tables of no variables
+        object.__setattr__(self, "schema", _validate_schema(self.schema, allow_empty=True))
         rational = self.mode == "rational"
         num = np.array(self.num, dtype=object if rational else np.float64)
         den = self.den

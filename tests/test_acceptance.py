@@ -29,7 +29,6 @@ from causalprox.bounds import (
     lp_bounds,
     true_target,
 )
-from causalprox.cli import _auto_design
 from causalprox.eigenid import (
     cross_moment_matrices,
     identify_causal_effect,
@@ -44,7 +43,7 @@ from causalprox.fixtures import (
     education_design,
     education_table,
 )
-from causalprox.synth import generate_latent_model, random_latent_spec
+from causalprox.synth import generate_latent_model, random_latent_spec, spec_design
 
 from dsep_oracle import all_dags, path_d_separated, random_mixed_graph
 
@@ -135,7 +134,7 @@ def test_criterion_06_round_trip_identification_property(capsys):
         )
         want = truth.marginal(latent_vars)
         try:
-            recon = identify_joint(obs, _auto_design(spec))
+            recon = identify_joint(obs, spec_design(spec))
         except Exception:
             failures += 1
             continue
@@ -317,7 +316,7 @@ def test_criterion_11_order_free_bounds(capsys):
         k = rng.choice([2, 3, 4])
         spec = random_latent_spec(rng, k=k)
         _, obs = generate_latent_model(spec)
-        design_s = _auto_design(spec)
+        design_s = spec_design(spec)
         recon = identify_joint(obs, design_s)
         w_sel = spec.w_categories[1]
         interval = order_free_bounds(obs, design_s, {spec.w_name: w_sel})

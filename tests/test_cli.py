@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from causalprox import cli, eigenid, generate_latent_model, random_latent_spec
+from causalprox import cli, eigenid, generate_latent_model, random_latent_spec, spec_design
 from causalprox import errors as err
 from causalprox.bounds import (
     MONOTONE_INDICES,
@@ -348,7 +348,7 @@ def test_identify_joint_runs_eig_twice_whatever_the_strata(monkeypatch):
         spec = random_latent_spec(random.Random(7), k=3, n_strata=strata)
         _, observable = generate_latent_model(spec)
         calls.clear()
-        eigenid.identify_joint(observable, cli._auto_design(spec))
+        eigenid.identify_joint(observable, spec_design(spec))
         # right then left spectrum, each over every stratum at once
         assert calls == [spec.n_strata, spec.n_strata]
 

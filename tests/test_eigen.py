@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,18 +17,20 @@ from causalprox import (
     SchemaMismatchError,
     SingularMatrixError,
     Tolerances,
+    UnknownVariableError,
     ZeroMassError,
     check_design,
     cross_moment_matrices,
     generate_latent_model,
     identify_causal_effect,
     identify_joint,
+    make_table,
     order_free_bounds,
     random_latent_spec,
     recover_factors,
     solve_pencil,
+    spec_design,
 )
-from causalprox.cli import _auto_design
 from causalprox.fixtures import (
     chain_diagram,
     education_design,
@@ -129,7 +132,7 @@ def test_order_free_bounds_contain_every_labeling_on_synthetic_models():
         k = rng.choice([2, 3, 4])
         spec = random_latent_spec(rng, k=k)
         truth, obs = generate_latent_model(spec)
-        design = _auto_design(spec)
+        design = spec_design(spec)
         recon = identify_joint(obs, design)
         w_sel = spec.w_categories[1]
         res = order_free_bounds(obs, design, {spec.w_name: w_sel})
@@ -154,7 +157,7 @@ def test_round_trip_identification_fast_subset():
             [spec.z_name] if spec.z_name else []
         )
         want = truth.marginal(latent_vars)
-        recon = identify_joint(obs, _auto_design(spec))
+        recon = identify_joint(obs, spec_design(spec))
         tv = 0.0
         axes = [want.categories(v) for v in want.variables]
         for combo in itertools.product(*axes):
@@ -170,21 +173,8 @@ def test_uninformative_anchor_fails_eigen_separation():
 
 
 def test_duplicate_emission_rows_fail_invertibility():
-    base = education_model()
-    from causalprox import LatentModelSpec
-
-    spec = LatentModelSpec(
-        latent_name=base.latent_name,
-        latent_categories=base.latent_categories,
-        s_name=base.s_name, s_categories=base.s_categories,
-        t_name=base.t_name, t_categories=base.t_categories,
-        w_name=base.w_name, w_categories=base.w_categories,
-        prior=base.prior,
-        s_emission=(((F(3, 10), F(7, 10)), (F(3, 10), F(7, 10))),),
-        t_emission=base.t_emission,
-        w_emission=base.w_emission,
-        order_identifiable=True,
-    )
+    row = (F(3, 10), F(7, 10))
+    spec = replace(education_model(), s_emission=((row, row),))
     truth, obs = generate_latent_model(spec)
     with pytest.raises(SingularMatrixError):
         identify_joint(obs, education_design())
@@ -192,16 +182,7 @@ def test_duplicate_emission_rows_fail_invertibility():
 
 def test_order_unknown_design_is_rejected_for_point_identification():
     table = education_table()
-    base = education_design()
-    design = ProxyDesign(
-        latent_name=base.latent_name,
-        latent_categories=base.latent_categories,
-        s_vars=base.s_vars, t_vars=base.t_vars,
-        w_vars=base.w_vars, z_vars=base.z_vars,
-        s_select=base.s_select, t_select=base.t_select,
-        w_value=base.w_value,
-        order_known=False,
-    )
+    design = replace(education_design(), order_known=False)
     with pytest.raises(OrderAmbiguityError):
         identify_joint(table, design)
     # order-free bounds still work without the labeling device
@@ -242,59 +223,46 @@ def test_check_design_schema_mismatch():
     table = education_table()
     base = education_design()
     check_design(table, base)
-    design = ProxyDesign(
-        latent_name="Y", latent_categories=("y1", "y2"),
-        s_vars=("Q",), t_vars=("T",), w_vars=("X",), z_vars=(),
-        s_select=(("q1",),), t_select=(("t1",),),
-        w_value=("x1",), order_known=True,
-    )
+    design = replace(base, s_vars=("Q",), s_select=(("q1",),))
     with pytest.raises(DesignError):
         check_design(table, design)
     rng = random.Random(12)
     spec = random_latent_spec(rng, k=2, n_strata=2)
     truth, obs = generate_latent_model(spec)
-    latent_leak = ProxyDesign(
+    latent_leak = replace(
+        spec_design(spec),
         latent_name=spec.z_name,  # collides with an observed column
         latent_categories=("a", "b"),
-        s_vars=(spec.s_name,), t_vars=(spec.t_name,),
-        w_vars=(spec.w_name,), z_vars=(),
-        s_select=((spec.s_categories[1],),),
-        t_select=((spec.t_categories[1],),),
-        w_value=(spec.w_categories[1],), order_known=True,
+        z_vars=(),
     )
     with pytest.raises((SchemaMismatchError, DesignError)):
         check_design(obs, latent_leak)
 
 
+def _with_empty_stratum(table):
+    """table beside a second stratum z1 of zero mass, as a table over (..., Z)."""
+    schema = list(table.schema) + [("Z", ("z0", "z1"))]
+    probs = np.zeros(table.num.shape + (2,), dtype=object)
+    probs[..., 0] = table.probs
+    return make_table(schema, probs)
+
+
 def test_zero_mass_stratum_raises():
-    import numpy as np_mod
-    from causalprox import make_table
-
-    edu = education_table()
-    schema = [(v, edu.categories(v)) for v in edu.variables]
-    schema.append(("Z", ("z0", "z1")))
-    shape = tuple(len(cats) for _, cats in schema)
-    arr = np_mod.empty(shape, dtype=object)
-    arr[...] = F(0)
-    axes = [edu.categories(v) for v in edu.variables]
-    for idx in itertools.product(*(range(len(a)) for a in axes)):
-        assign = {v: axes[d][i] for d, (v, i) in enumerate(zip(edu.variables, idx))}
-        arr[idx + (0,)] = edu.prob(assign)  # all mass in stratum z0
-    table = make_table(schema, arr)
-
-    base = education_design()
-    design = ProxyDesign(
-        latent_name=base.latent_name,
-        latent_categories=base.latent_categories,
-        s_vars=base.s_vars, t_vars=base.t_vars,
-        w_vars=base.w_vars, z_vars=("Z",),
-        s_select=base.s_select, t_select=base.t_select,
-        w_value=base.w_value, order_known=True,
-    )
-    with pytest.raises(ZeroMassError):
-        cross_moment_matrices(table, design, stratum={"Z": "z1"})
+    table = _with_empty_stratum(education_table())
+    design = replace(education_design(), z_vars=("Z",))
     with pytest.raises(ZeroMassError):
         identify_joint(table, design)
+
+
+def test_cross_moment_matrices_errors_on_bad_stratum_or_anchor():
+    table, design = education_table(), education_design()
+    with pytest.raises(UnknownVariableError, match="^variable 'Q' not in table$"):
+        cross_moment_matrices(table, design, {"Q": "q0"})
+    with pytest.raises(UnknownVariableError, match="^'x9' is not a category of 'X'$"):
+        cross_moment_matrices(table, replace(design, w_value=("x9",)))
+    with pytest.raises(ZeroMassError, match=r"^stratum \{'Z': 'z1'\} has zero mass$"):
+        cross_moment_matrices(_with_empty_stratum(table), replace(design, z_vars=("Z",)),
+                              {"Z": "z1"})
 
 
 def test_tolerance_clamping_bounds():

@@ -26,8 +26,9 @@ from causalprox import (
     load_counts,
     make_table,
     random_latent_spec,
+    spec_design,
 )
-from causalprox.cli import _auto_design, _observable_csv, main
+from causalprox.cli import _observable_csv, main
 from causalprox.eigenid import _moment_stack, stratum_assignments
 from causalprox.ratio import decimal_string, parse_rational
 from table_oracle import (
@@ -240,7 +241,7 @@ def test_cross_moments_match_per_entry_oracle(k):
     for strata in (None, 2, 3):
         spec = random_latent_spec(rng, k=k, n_strata=strata)
         _, observable = generate_latent_model(spec)
-        design = _auto_design(spec)
+        design = spec_design(spec)
         # the CSV route puts the decimal probabilities over their LCM
         for table in (observable, load_counts(_observable_csv(observable))):
             for stratum in stratum_assignments(design, table):
@@ -294,7 +295,7 @@ def test_cross_moments_with_multi_variable_roles_and_extra_axes():
 def test_float_table_cross_moments_close_to_oracle():
     spec = random_latent_spec(random.Random(12), k=4, n_strata=2)
     observable = generate_latent_model(spec)[1].to_float()
-    design = _auto_design(spec)
+    design = spec_design(spec)
     for stratum in stratum_assignments(design, observable):
         sm = cross_moment_matrices(observable, design, stratum)
         p, q, _ = cross_moments_per_entry(observable, design, stratum)

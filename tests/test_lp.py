@@ -107,37 +107,6 @@ def test_solve_is_deterministic():
             assert again.witness == first.witness
 
 
-def test_solve_agrees_with_vertex_enumeration_randomized():
-    rng = random.Random(20250301)
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for trial in range(250):
-        n = rng.randint(2, 6)
-        rows = rng.randint(1, min(4, n))
-        point = [F(rng.randint(0, 4)) for _ in range(n)]
-        eqs = []
-        for _ in range(rows):
-            a = [F(rng.randint(-3, 3)) for _ in range(n)]
-            if trial % 3 == 0:
-                b = F(rng.randint(-6, 6))  # may be infeasible
-            else:
-                b = sum(x * y for x, y in zip(a, point))
-            eqs.append((tuple(a), b))
-        obj = tuple(F(rng.randint(-5, 5)) for _ in range(n))
-        for sense in ("min", "max"):
-            lp = make_program(n=n, equalities=eqs, objective=obj, sense=sense)
-            res = oracle_solve(lp)
-            vo = vertex_optimum(enumerate_vertices(eqs, n), obj, sense)
-            statuses[res.status] += 1
-            if res.status == "optimal":
-                assert vo is not None and vo[0] == res.value
-            elif res.status == "infeasible":
-                assert vo is None
-            else:
-                assert vo is not None  # finite vertex optimum, unbounded ray
-    assert statuses["optimal"] > 100
-    assert statuses["infeasible"] > 20
-
-
 def test_witness_is_an_enumerated_vertex():
     eqs = [((1, 1, 1, 0), 2), ((0, 1, -1, 1), 0)]
     lp = make_program(n=4, equalities=eqs, objective=(3, 1, 4, 1), sense="min")

@@ -35,8 +35,8 @@ from causalprox import (
     random_latent_spec,
     recover_factors,
     solve_pencil,
+    spec_design,
 )
-from causalprox.cli import _auto_design
 from causalprox.fixtures import education_design, education_table
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -90,7 +90,7 @@ def _sweep(seeds):
                 rng = random.Random(seed * 1000 + k * 10 + (strata or 0))
                 spec = random_latent_spec(rng, k=k, n_strata=strata)
                 _, observable = generate_latent_model(spec)
-                design = _auto_design(spec)
+                design = spec_design(spec)
                 for tol in TOLERANCE_SETS:
                     want = _outcome(eigen_oracle.identify_joint, observable, design, tol)
                     _assert_same_outcome(_outcome(identify_joint, observable, design, tol), want)
@@ -116,7 +116,7 @@ def test_stacked_recovery_matches_oracle_on_float_tables():
         rng = random.Random(seed)
         spec = random_latent_spec(rng, k=rng.choice([2, 3, 5]), n_strata=rng.choice([None, 2, 3]))
         _, observable = generate_latent_model(spec)
-        table, design = observable.to_float(), _auto_design(spec)
+        table, design = observable.to_float(), spec_design(spec)
         _assert_same_outcome(
             _outcome(identify_joint, table, design, DEFAULT_TOLERANCES),
             _outcome(eigen_oracle.identify_joint, table, design, DEFAULT_TOLERANCES),
@@ -134,7 +134,7 @@ def test_first_failing_stratum_wins_over_earlier_stage_failures():
         s_emission=(base.s_emission[0], (base.s_emission[1][0],) * 3),
     )
     _, observable = generate_latent_model(spec)
-    design = _auto_design(spec)
+    design = spec_design(spec)
     with pytest.raises(OrderAmbiguityError, match=r"stratum \{'Z': 'z0'\}"):
         identify_joint(observable, design)
     _assert_same_outcome(

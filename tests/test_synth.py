@@ -5,13 +5,19 @@ from fractions import Fraction
 import pytest
 
 from causalprox import (
-    LatentModelSpec,
+    ProxyDesign,
     SpecError,
     generate_latent_model,
     random_latent_spec,
+    spec_design,
     spec_margins,
 )
-from causalprox.fixtures import education_model, education_table
+from causalprox.fixtures import (
+    education_design,
+    education_model,
+    education_table,
+    uninformative_anchor_table,
+)
 from synth_oracle import generate_latent_model_per_cell
 
 F = Fraction
@@ -126,44 +132,33 @@ def test_spec_validation_rejects_bad_rows():
     with pytest.raises(SpecError, match="ints or Fractions"):
         replace(base, prior=((0.45, 0.55),))  # floats cannot sum to exactly 1
     with pytest.raises(SpecError):
-        LatentModelSpec(
-            latent_name=base.latent_name,
-            latent_categories=base.latent_categories,
-            s_name="S", s_categories=base.s_categories,
-            t_name="T", t_categories=base.t_categories,
-            w_name="X", w_categories=base.w_categories,
-            prior=((F(11, 20), F(9, 20)),),  # decreasing prior, order known
-            s_emission=base.s_emission,
-            t_emission=base.t_emission,
-            w_emission=base.w_emission,
-            order_identifiable=True,
-        )
+        replace(base, prior=((F(11, 20), F(9, 20)),))  # decreasing prior, order known
     with pytest.raises(SpecError):
-        LatentModelSpec(
-            latent_name=base.latent_name,
-            latent_categories=base.latent_categories,
-            s_name="S", s_categories=base.s_categories,
-            t_name="T", t_categories=base.t_categories,
-            w_name="X", w_categories=base.w_categories,
-            prior=base.prior,
-            s_emission=(((F(1, 2), F(1, 3)), (F(2, 5), F(3, 5))),),  # bad row sum
-            t_emission=base.t_emission,
-            w_emission=base.w_emission,
-            order_identifiable=True,
-        )
+        replace(base, s_emission=(((F(1, 2), F(1, 3)), (F(2, 5), F(3, 5))),))  # bad row sum
     with pytest.raises(SpecError):
-        LatentModelSpec(
-            latent_name="S",  # clashes with proxy name
-            latent_categories=base.latent_categories,
-            s_name="S", s_categories=base.s_categories,
-            t_name="T", t_categories=base.t_categories,
-            w_name="X", w_categories=base.w_categories,
-            prior=base.prior,
-            s_emission=base.s_emission,
-            t_emission=base.t_emission,
-            w_emission=base.w_emission,
-            order_identifiable=True,
-        )
+        replace(base, latent_name="S")  # clashes with proxy name
+
+
+def test_education_design_is_the_models_spec_design():
+    assert spec_design(education_model()) == education_design() == ProxyDesign(
+        latent_name="Y",
+        latent_categories=("y1", "y2"),
+        s_vars=("S",),
+        t_vars=("T",),
+        w_vars=("X",),
+        z_vars=(),
+        s_select=(("s1",),),
+        t_select=(("t1",),),
+        w_value=("x1",),
+        order_known=True,
+    )
+
+
+def test_uninformative_anchor_table_cells():
+    table = uninformative_anchor_table()
+    assert table.schema == (("S", ("s0", "s1")), ("T", ("t0", "t1")), ("X", ("x0", "x1")))
+    assert table.mode == "rational" and table.den == 10**4
+    assert table.num.tolist() == [[[1673, 717], [2072, 888]], [[2037, 873], [1218, 522]]]
 
 
 def test_education_model_margins():

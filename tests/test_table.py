@@ -150,6 +150,18 @@ def test_make_table_validates_mass():
     assert t.prob({"A": "a1"}) == F(1, 2)
 
 
+def test_constructor_validates_schema():
+    # each table is well formed but for its schema
+    for schema, num, den, message in (
+        ((("A", ("a0", "a0")),), [1, 1], 2, "duplicate categories for 'A'"),
+        ((("A", ("a0",)),), [1], 1, "variable 'A' needs at least two categories"),
+        ((("A", ("a0", "a1")), ("A", ("a0", "a1"))), [[1, 1], [0, 0]], 2,
+         "duplicate variable names in schema"),
+    ):
+        with pytest.raises(FormatError, match=f"^{message}$"):
+            JointTable(schema, num, "rational", den)
+
+
 def test_marginal_condition_and_float_mode():
     t = education_table()
     m = t.marginal(["X"])
