@@ -25,9 +25,10 @@ tests hold these answers to a Fraction simplex and to vertex enumeration.
 Every witness is a support: only the types with positive mass.
 
 Closed-form four-term bounds for the monotone variant are evaluated
-verbatim under two reading conventions of the cell symbols, because the
-worked numbers they are checked against use the joint reading while the
-program constraints require the conditional one.
+under two reading conventions of the cell symbols, because the worked
+numbers they are checked against use the joint reading while the program
+constraints require the conditional one.  On both readings each x0 upper
+term is an arm's total less one x1 lower term (see _four_terms).
 """
 
 from __future__ import annotations
@@ -95,19 +96,19 @@ class ObservedCells:
     def __post_init__(self):
         cond = self.cond
         ratios = {}  # cell -> (numerator, denominator)
+        for cell in _ARMS[0] + _ARMS[1]:
+            if cell not in cond:
+                raise FormatError(f"missing cell {cell}")
+            v = cond[cell]
+            if not isinstance(v, Fraction):
+                raise FormatError("cells must be exact rationals")
+            n, _ = ratios[cell] = v.as_integer_ratio()
+            if n < 0:
+                raise FormatError(f"cell {cell} is negative")
+        den = math.lcm(*(d for _, d in ratios.values()))
+        num = {c: n * (den // d) for c, (n, d) in ratios.items()}
         for k, cells in enumerate(_ARMS):
-            for cell in cells:
-                if cell not in cond:
-                    raise FormatError(f"missing cell {cell}")
-                v = cond[cell]
-                if not isinstance(v, Fraction):
-                    raise FormatError("cells must be exact rationals")
-                n, _ = ratios[cell] = v.as_integer_ratio()
-                if n < 0:
-                    raise FormatError(f"cell {cell} is negative")
-            arm = [ratios[cell] for cell in cells]
-            den = math.lcm(*(d for _, d in arm))
-            total = sum(n * (den // d) for n, d in arm)
+            total = sum(num[cell] for cell in cells)
             if total != den:
                 raise FormatError(
                     f"cells for arm {k} sum to {Fraction(total, den)}, "
@@ -125,13 +126,10 @@ class ObservedCells:
             (n0, d0), (n1, d1) = arms
             if n0 * d1 + n1 * d0 != d0 * d1:
                 raise FormatError("x_dist must sum to exactly 1")
-        den = math.lcm(*(d for _, d in ratios.values()))
         # not dataclass fields, so ==, repr and replace see only the cells
         object.__setattr__(self, "cond", dict(cond))
         object.__setattr__(self, "_den", den)
-        object.__setattr__(
-            self, "_num", {c: n * (den // d) for c, (n, d) in ratios.items()}
-        )
+        object.__setattr__(self, "_num", num)
 
 
 def cells_from_table(
@@ -428,8 +426,8 @@ def lp_bounds(prog: CounterfactualProgram) -> BoundsResult:
             "program does not match build_program of its cells; lp_bounds "
             "answers from prog.cells"
         )
-    g, _, witnesses = _sharp(prog.cells, prog.monotone, prog.dropped)
-    return _lp_result(prog.target, g, prog.cells._den, witnesses[prog.target])
+    results = sharp_bounds(prog.cells, prog.monotone, prog.dropped)
+    return results[TARGETS.index(prog.target)]
 
 
 def sharp_bounds(
@@ -442,22 +440,15 @@ def sharp_bounds(
     """
     _check_drop(drop_proxy)
     g, _, witnesses = _sharp(cells, bool(monotone), drop_proxy)
-    return tuple(
-        _lp_result(target, g, cells._den, witnesses[target]) for target in TARGETS
-    )
+    return _lp_pair(cells, g, witnesses)
 
 
-def _lp_result(target: str, g: int, den: int, pair: tuple) -> BoundsResult:
-    """x0 in [0, 1 - g / den] or x1 in [g / den, 1], with pair = (lower,
-    upper) witness."""
-    x0 = target == "x0"
-    lower, upper = (ZERO, _fraction(den - g, den)) if x0 else (_fraction(g, den), ONE)
-    return BoundsResult(
-        target=target,
-        lower=lower,
-        upper=upper,
-        method="lp",
-        witnesses={"lower": pair[0], "upper": pair[1]},
+def _lp_pair(cells: ObservedCells, g: int, witnesses: dict) -> tuple:
+    """(x0 in [0, 1 - g / den], x1 in [g / den, 1]), den = cells._den, of _sharp."""
+    den = cells._den
+    return _result_pair(
+        "lp", None, _fraction(den - g, den), _fraction(g, den),
+        witnesses=[{"lower": witnesses[t][0], "upper": witnesses[t][1]} for t in TARGETS],
     )
 
 
@@ -573,30 +564,25 @@ def _four_terms(cells: ObservedCells, convention: str) -> tuple:
     """The four x0 upper and the four x1 lower candidate terms.
 
     Both readings are evaluated on integer numerators over one
-    denominator, and one Fraction is built per term.  Under the
-    conditional reading each arm's cells sum to 1, so the x0 upper terms
-    are 1 minus the x1 lower terms 0, 2, 3 and 1; the joint reading sums
-    them verbatim.
+    denominator, and one Fraction is built per term.  Let A_k be the x_k
+    arm's total on the reading's scale: den under the conditional reading,
+    f(x_k) * den under the joint one.  With l0..l3 the x1 lower terms, the
+    x0 upper terms are A0 - l0, A0 - l2, A0 - l3 and A1 - l1 on both
+    readings: each is the sum of the four cells its lower term leaves out.
     """
+    num, den = cells._num, cells._den
     if convention == "conditional":
-        num, den = cells._num, cells._den
-        lower = _x1_lower_terms(num)
-        upper = tuple(den - lower[n] for n in (0, 2, 3, 1))
+        totals = (den, den)
     elif convention == "joint-compat":
         if cells.x_dist is None:
             raise FormatError("the joint-compat reading needs the treatment marginal")
         arm, arm_den = lcm_numerators(cells.x_dist)
-        p = {cell: n * arm[cell[2]] for cell, n in cells._num.items()}
-        den = cells._den * arm_den
-        lower = _x1_lower_terms(p)
-        upper = (
-            p[0, 1, 0] + p[1, 0, 0] + p[1, 1, 0] + p[0, 0, 1],
-            p[0, 1, 0] + p[1, 1, 0] + p[1, 0, 1] + p[0, 0, 1],
-            p[1, 0, 0] + p[1, 1, 0] + p[0, 1, 1] + p[0, 0, 1],
-            p[1, 1, 0] + p[0, 0, 1] + p[1, 0, 1] + p[0, 1, 1],
-        )
+        num = {cell: n * arm[cell[2]] for cell, n in num.items()}
+        totals, den = [a * den for a in arm], den * arm_den
     else:
         raise FormatError(f"unknown convention {convention!r}")
+    lower = _x1_lower_terms(num)
+    upper = tuple(totals[k] - lower[n] for n, k in ((0, 0), (2, 0), (3, 0), (1, 1)))
     return (
         tuple(Fraction(n, den) for n in upper),
         tuple(Fraction(n, den) for n in lower),
@@ -616,14 +602,14 @@ def _clamped(v: Fraction) -> Fraction:
 
 def _result_pair(
     method, convention, upper=ONE, lower=ZERO,
-    terms=(None, None), applicable=True,
+    terms=(None, None), applicable=True, witnesses=(None, None),
 ):
     """(x0 in [0, upper], x1 in [lower, 1]) with upper and lower clamped to [0, 1]."""
     upper, lower = _clamped(upper), _clamped(lower)
     common = {"method": method, "convention": convention, "applicable": applicable}
     return (
-        BoundsResult("x0", ZERO, upper, terms=terms[0], **common),
-        BoundsResult("x1", lower, ONE, terms=terms[1], **common),
+        BoundsResult("x0", ZERO, upper, witnesses=witnesses[0], terms=terms[0], **common),
+        BoundsResult("x1", lower, ONE, witnesses=witnesses[1], terms=terms[1], **common),
     )
 
 
@@ -728,7 +714,7 @@ def certify_against_lp(cells: ObservedCells, monotone: bool) -> CertificationRep
         _check_farkas(prog, exc.down_set)
         lp_out = dict.fromkeys(TARGETS)
     else:
-        lp_out = {t: _lp_result(t, g, cells._den, witnesses[t]) for t in TARGETS}
+        lp_out = dict(zip(TARGETS, _lp_pair(cells, g, witnesses)))
         _check_certificates(prog, lp_out, binding)
     deltas = {}
     for target in TARGETS:

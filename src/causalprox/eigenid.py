@@ -291,12 +291,11 @@ def cross_moment_matrices(
     """Build the pencil matrices p and q for one stratum.
 
     Rows follow the s events, columns the t events, both prefixed by the
-    unconstrained event.  Raises ZeroMassError when the stratum itself
-    has no mass.
+    unconstrained event.  Raises DesignError (check_design) when the design
+    does not fit the table and ZeroMassError when the stratum has no mass.
     """
     stratum = dict(stratum or {})
-    for var, value in zip(design.w_vars, design.w_value):
-        table._index_of(var, value)  # an unknown anchor value raises the table's error
+    check_design(table, design)
     counts, totals, _, anchor = _moment_stack(table, design, stratum, ())
     if totals[0] == 0:
         raise ZeroMassError(f"stratum {stratum!r} has zero mass")

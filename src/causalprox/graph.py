@@ -72,31 +72,23 @@ class CausalDiagram:
     def parents(self, v: str) -> set:
         return set(self._parents.get(v, ()))
 
-    def children(self, v: str) -> set:
-        return set(self._children.get(v, ()))
-
     def descendants(self, v: str) -> set:
         """Proper descendants of v (v itself excluded)."""
-        children = self._children
-        seen = set()
-        stack = [v]
-        while stack:
-            for child in children.get(stack.pop(), ()):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
+        return _reach(self._children, [v], set())
 
     def ancestors_inclusive(self, vs: Iterable[str]) -> set:
-        parents = self._parents
         seen = set(vs)
-        stack = list(seen)
-        while stack:
-            for p in parents.get(stack.pop(), ()):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
+        return _reach(self._parents, list(seen), seen)
+
+
+def _reach(index: dict, stack: list, seen: set) -> set:
+    """seen, grown by every vertex that index's lists lead to from stack."""
+    while stack:
+        for w in index.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def _edge_keys(edges, names: set, bidirected: bool) -> dict:
@@ -401,10 +393,9 @@ def diagram_to_json(g: CausalDiagram) -> dict:
 def diagram_from_json(payload) -> CausalDiagram:
     if not isinstance(payload, dict):
         raise FormatError("diagram payload must be a JSON object")
-    try:
-        vertices = payload["vertices"]
-    except KeyError:
-        raise FormatError("diagram payload lacks a 'vertices' list") from None
+    vertices = payload.get("vertices")
+    if not isinstance(vertices, list):
+        raise FormatError("diagram payload lacks a 'vertices' list")
     directed = payload.get("directed", [])
     bidirected = payload.get("bidirected", [])
     for name, edges in (("directed", directed), ("bidirected", bidirected)):

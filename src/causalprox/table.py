@@ -52,10 +52,8 @@ MASS_TOL = Fraction(1, 10**12)
 SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 
 
-def _validate_schema(schema, allow_empty=False):
+def _validate_schema(schema):
     schema = tuple((str(name), tuple(cats)) for name, cats in schema)
-    if not schema and not allow_empty:
-        raise FormatError("schema declares no variables")
     names = [name for name, _ in schema]
     if len(set(names)) != len(names):
         raise FormatError("duplicate variable names in schema")
@@ -70,6 +68,11 @@ def _validate_schema(schema, allow_empty=False):
             if not c or "," in c:
                 raise FormatError(f"bad category label {c!r} for {name!r}")
     return schema
+
+
+def _check_mode(mode):
+    if mode not in ("rational", "float"):
+        raise FormatError(f"unknown table mode {mode!r}")
 
 
 def lcm_numerators(rationals):
@@ -104,10 +107,9 @@ class JointTable:
     den: int = None
 
     def __post_init__(self):
-        if self.mode not in ("rational", "float"):
-            raise FormatError(f"unknown table mode {self.mode!r}")
-        # marginal([]) and a full condition() give tables of no variables
-        object.__setattr__(self, "schema", _validate_schema(self.schema, allow_empty=True))
+        _check_mode(self.mode)
+        # no variables is valid: marginal([]) and a full condition() give such tables
+        object.__setattr__(self, "schema", _validate_schema(self.schema))
         rational = self.mode == "rational"
         num = np.array(self.num, dtype=object if rational else np.float64)
         den = self.den
@@ -241,24 +243,24 @@ class JointTable:
     @staticmethod
     def from_json(payload):
         try:
-            schema = _validate_schema(
-                [(name, tuple(cats)) for name, cats in payload["schema"]]
-            )
+            schema = [(name, tuple(cats)) for name, cats in payload["schema"]]
             mode = payload["mode"]
             flat = payload["probs"]
+            n = math.prod(len(cats) for _, cats in schema)
+            if len(flat) != n:
+                raise FormatError(f"expected {n} probabilities, got {len(flat)}")
+            _check_mode(mode)
+            parse = parse_rational if mode == "rational" else float
+            probs = [parse(item) for item in flat]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad table payload: {exc}") from exc
-        shape = tuple(len(cats) for _, cats in schema)
-        n = int(np.prod(shape))
-        if len(flat) != n:
-            raise FormatError(f"expected {n} probabilities, got {len(flat)}")
-        parse = parse_rational if mode == "rational" else float
-        return make_table(schema, [parse(item) for item in flat], mode)
+        return make_table(schema, probs, mode)
 
 
 def make_table(schema, probs, mode="rational"):
     """Build a validated JointTable from nested lists or an ndarray."""
-    schema = _validate_schema(schema)
+    if not schema:
+        raise FormatError("schema declares no variables")
     shape = tuple(len(cats) for _, cats in schema)
     arr = np.asarray(probs, dtype=object if mode == "rational" else np.float64)
     if arr.size != math.prod(shape):
@@ -383,20 +385,25 @@ def _y_table(table, y, masses):
     return JointTable(((y, cats),), [masses[c] for c in cats], table.mode)
 
 
-def backdoor_adjust(table, x, y, zvars):
-    """Adjustment formula: sum_z f(y|x,z) f(z)."""
+def _adjustment(table, x, y, zvars, what):
+    """(xvar, xval, zero mass per y category, every assignment of zvars) of
+    an adjustment formula, once its arguments are checked."""
     xvar, xval = _check_pair(table, x, y)
     zvars = list(zvars)
     for v in zvars:
         table._axis(v)
     if xvar in zvars or y in zvars:
-        raise UnknownVariableError("adjustment set overlaps the effect pair")
-
+        raise UnknownVariableError(f"{what} set overlaps the effect pair")
     zero = Fraction(0) if table.mode == "rational" else 0.0
-    masses = {c: zero for c in table.categories(y)}
     domains = [table.categories(v) for v in zvars]
-    for combo in itertools.product(*domains):
-        zassign = dict(zip(zvars, combo))
+    zassigns = [dict(zip(zvars, combo)) for combo in itertools.product(*domains)]
+    return xvar, xval, dict.fromkeys(table.categories(y), zero), zassigns
+
+
+def backdoor_adjust(table, x, y, zvars):
+    """Adjustment formula: sum_z f(y|x,z) f(z)."""
+    xvar, xval, masses, zassigns = _adjustment(table, x, y, zvars, "adjustment")
+    for zassign in zassigns:
         pz = table.mass(zassign)
         if pz == 0:
             continue
@@ -412,22 +419,11 @@ def backdoor_adjust(table, x, y, zvars):
 
 def frontdoor_adjust(table, x, y, zvars):
     """Mediator formula: sum_z f(z|x) sum_x' f(y|x',z) f(x')."""
-    xvar, xval = _check_pair(table, x, y)
-    zvars = list(zvars)
-    for v in zvars:
-        table._axis(v)
-    if xvar in zvars or y in zvars:
-        raise UnknownVariableError("mediator set overlaps the effect pair")
-
+    xvar, xval, masses, zassigns = _adjustment(table, x, y, zvars, "mediator")
     px = table.mass({xvar: xval})
     if px == 0:
         raise ZeroMassError(f"f({xvar}={xval}) = 0")
-
-    zero = Fraction(0) if table.mode == "rational" else 0.0
-    masses = {c: zero for c in table.categories(y)}
-    domains = [table.categories(v) for v in zvars]
-    for combo in itertools.product(*domains):
-        zassign = dict(zip(zvars, combo))
+    for zassign in zassigns:
         pzx = table.mass({xvar: xval, **zassign}) / px
         if pzx == 0:
             continue

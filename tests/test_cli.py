@@ -269,6 +269,15 @@ def test_check_non_string_edge_endpoint_is_usage_error(workdir, capsys):
     assert "error: directed edge ['a']->'b' has a non-string endpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertices", [5, "XY", None])
+def test_check_vertices_that_are_not_a_list_are_usage_errors(workdir, capsys, vertices):
+    """A string of names is not read as one vertex per character."""
+    Path("bad.json").write_text(json.dumps({"vertices": vertices, "directed": [["X", "Y"]]}))
+    code = main(["check", "bad.json", "--pair", "X,Y"])
+    assert code == 4
+    assert capsys.readouterr().err == "error: diagram payload lacks a 'vertices' list\n"
+
+
 # ---------------------------------------------------------------------------
 # identify
 

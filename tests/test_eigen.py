@@ -255,11 +255,15 @@ def test_zero_mass_stratum_raises():
 
 
 def test_cross_moment_matrices_errors_on_bad_stratum_or_anchor():
+    """A design that does not fit the table fails check_design, as it does
+    for identify_joint."""
     table, design = education_table(), education_design()
     with pytest.raises(UnknownVariableError, match="^variable 'Q' not in table$"):
         cross_moment_matrices(table, design, {"Q": "q0"})
-    with pytest.raises(UnknownVariableError, match="^'x9' is not a category of 'X'$"):
+    with pytest.raises(DesignError, match="^w selection value 'x9' is not a category of 'X'$"):
         cross_moment_matrices(table, replace(design, w_value=("x9",)))
+    with pytest.raises(DesignError, match="^role S variable 'Q' not in the table$"):
+        cross_moment_matrices(table, replace(design, s_vars=("Q",), s_select=(("q1",),)))
     with pytest.raises(ZeroMassError, match=r"^stratum \{'Z': 'z1'\} has zero mass$"):
         cross_moment_matrices(_with_empty_stratum(table), replace(design, z_vars=("Z",)),
                               {"Z": "z1"})

@@ -149,6 +149,40 @@ def test_build_diagram_rejects_cycles_and_self_loops():
         build_diagram("A", [("A", "A")])
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([], "a diagram needs at least one vertex"),
+    (["A", ""], "vertex names must be non-empty strings, got ''"),
+    (["A", 3], "vertex names must be non-empty strings, got 3"),
+    (["A", "B,C"], "vertex name may not contain a comma: 'B,C'"),
+    (["A", "B", "A"], "duplicate vertex 'A'"),
+])
+def test_build_diagram_vertex_name_guards(vertices, message):
+    with pytest.raises(FormatError) as err:
+        build_diagram(vertices)
+    assert type(err.value) is FormatError and str(err.value) == message
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: satisfies_backdoor(g, "X", "X"), PreconditionError,
+     "x, y, and the adjustment set must be distinct"),
+    (lambda g: satisfies_frontdoor(g, "X", "Y", ["Y"]), PreconditionError,
+     "x, y, and the adjustment set must be distinct"),
+    (lambda g: satisfies_backdoor(g, "Y", "X"), PreconditionError,
+     "'Y' is a descendant of 'X'; effect direction is wrong"),
+    (lambda g: satisfies_frontdoor(g, "Y", "Z"), PreconditionError,
+     "'Y' is a descendant of 'Z'; effect direction is wrong"),
+    (lambda g: find_adjustment_set(g, "X", "Y", ["Z", "X"]), PreconditionError,
+     "candidates must not contain x or y"),
+    (lambda g: find_adjustment_set(g, "X", "Y", ["Z"], criterion="bogus"), PreconditionError,
+     "unknown criterion 'bogus'"),
+])
+def test_criterion_precondition_guards(call, error, message):
+    g = build_diagram("ZXY", [("Z", "X"), ("X", "Y")])
+    with pytest.raises(error) as err:
+        call(g)
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_expand_bidirected_adds_fresh_latent_parents():
     g = build_diagram("AB", bidirected=[("A", "B")])
     gx = expand_bidirected(g)

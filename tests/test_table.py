@@ -11,6 +11,7 @@ from causalprox import (
     PositivityError,
     SchemaMismatchError,
     UnknownVariableError,
+    ZeroMassError,
     backdoor_adjust,
     build_diagram,
     frontdoor_adjust,
@@ -160,6 +161,103 @@ def test_constructor_validates_schema():
     ):
         with pytest.raises(FormatError, match=f"^{message}$"):
             JointTable(schema, num, "rational", den)
+
+
+_AB = (("A", ("a0", "a1")),)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: JointTable(_AB, [F(1, 3)] * 3), SchemaMismatchError,
+     "probs shape (3,) does not match schema shape (2,)"),
+    (lambda: JointTable(_AB, [F(-1, 2), F(3, 2)]), FormatError, "negative probability entry"),
+    (lambda: JointTable(_AB, [-0.5, 1.5], "float"), FormatError, "negative probability entry"),
+    (lambda: JointTable(_AB, [0.25, 0.5], "float"), FormatError,
+     "probabilities sum to 0.75, not 1"),
+    (lambda: JointTable(_AB, [F(1, 2)] * 2, "bogus"), FormatError, "unknown table mode 'bogus'"),
+    (lambda: make_table([], [1]), FormatError, "schema declares no variables"),
+    (lambda: make_table(_AB, [F(1, 3)] * 3), SchemaMismatchError,
+     "probability array does not match schema shape"),
+    (lambda: JointTable.from_json({"schema": [["A", ["a0", "a1"]]], "probs": ["1/2"] * 2}),
+     FormatError, "bad table payload: 'mode'"),
+    (lambda: JointTable.from_json(
+        {"schema": [["A", ["a0", "a1"]]], "mode": "rational", "probs": ["1"]}),
+     FormatError, "expected 2 probabilities, got 1"),
+])
+def test_table_construction_guards(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("schema, message", [
+    ([("A,B", ("a0", "a1"))], "bad variable name 'A,B'"),
+    ([("", ("a0", "a1"))], "bad variable name ''"),
+    ([("A", ("a0", "a,1"))], "bad category label 'a,1' for 'A'"),
+    ([("A", ("", "a1"))], "bad category label '' for 'A'"),
+])
+@pytest.mark.parametrize("build", ["constructor", "make_table", "from_json"])
+def test_bad_names_and_labels_are_rejected_by_every_builder(schema, message, build):
+    with pytest.raises(FormatError) as err:
+        if build == "constructor":
+            JointTable(schema, [F(1, 2)] * 2)
+        elif build == "make_table":
+            make_table(schema, [F(1, 2)] * 2)
+        else:
+            JointTable.from_json({"schema": [[name, list(cats)] for name, cats in schema],
+                                  "mode": "rational", "probs": ["1/2"] * 2})
+    assert type(err.value) is FormatError and str(err.value) == message
+
+
+@pytest.mark.parametrize("mode, probs, message", [
+    ("bogus", ["1/2", "1/2"], "unknown table mode 'bogus'"),
+    ("float", ["x", "1/2"], "bad table payload: could not convert string to float: 'x'"),
+    ("float", [None, 0.5], "bad table payload: float() argument must be"),
+    ("rational", [None, "1/2"], "expected an exact rational, got None"),
+    ("rational", 5, "bad table payload: object of type 'int' has no len()"),
+])
+def test_from_json_raises_only_format_errors(mode, probs, message):
+    payload = {"schema": [["A", ["a0", "a1"]]], "mode": mode, "probs": probs}
+    with pytest.raises(FormatError) as err:
+        JointTable.from_json(payload)
+    assert type(err.value) is FormatError and str(err.value).startswith(message)
+
+
+def _two_strata_table():
+    """Z, X, Y with all mass on (z0, x0, y0) and (z1, x1, y1)."""
+    schema = [("Z", ("z0", "z1")), ("X", ("x0", "x1")), ("Y", ("y0", "y1"))]
+    return table_from_cells(schema, {("z0", "x0", "y0"): F(1, 2), ("z1", "x1", "y1"): F(1, 2)})
+
+
+@pytest.mark.parametrize("adjust", [backdoor_adjust, frontdoor_adjust])
+@pytest.mark.parametrize("x, y, zvars, error, message", [
+    ({"X": "x0", "Z": "z0"}, "Y", [], UnknownVariableError,
+     "the intervention must assign exactly one variable"),
+    ("X", "Y", [], UnknownVariableError, "the intervention must assign exactly one variable"),
+    ({"X": "x0"}, "X", [], UnknownVariableError, "exposure and outcome must differ"),
+    ({"X": "x0"}, "Y", ["X"], UnknownVariableError, "{set} set overlaps the effect pair"),
+    ({"X": "x0"}, "Y", ["Z", "Y"], UnknownVariableError, "{set} set overlaps the effect pair"),
+])
+def test_adjustment_guards(adjust, x, y, zvars, error, message):
+    what = "adjustment" if adjust is backdoor_adjust else "mediator"
+    with pytest.raises(error) as err:
+        adjust(_two_strata_table(), x, y, zvars)
+    assert type(err.value) is error and str(err.value) == message.format(set=what)
+
+
+@pytest.mark.parametrize("adjust, cells, error, message", [
+    (backdoor_adjust, None, PositivityError,
+     "f(X=x0, {'Z': 'z1'}) = 0 on a stratum with positive probability"),
+    (frontdoor_adjust, None, PositivityError,
+     "f(X=x1, {'Z': 'z0'}) = 0 but the formula needs f(y|...) there"),
+    (frontdoor_adjust, {("z0", "x1", "y0"): F(1, 2), ("z1", "x1", "y1"): F(1, 2)},
+     ZeroMassError, "f(X=x0) = 0"),
+])
+def test_adjustment_mass_guards(adjust, cells, error, message):
+    schema = [("Z", ("z0", "z1")), ("X", ("x0", "x1")), ("Y", ("y0", "y1"))]
+    table = _two_strata_table() if cells is None else table_from_cells(schema, cells)
+    with pytest.raises(error) as err:
+        adjust(table, {"X": "x0"}, "Y", ["Z"])
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_marginal_condition_and_float_mode():
