@@ -259,7 +259,7 @@ def cmd_identify(args) -> int:
     outputs = {
         "strata": [_factors_json(f) for f in recon.factors],
         "joint": recon.table.to_float().to_json(),
-        "replay_residuals": recon.replay,
+        "replay_residuals": dict(recon.replay),
         "effects": effects or None,
         "exposure": exposure,
         "outcome": outcome if exposure else None,

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -94,6 +96,11 @@ class ProxyDesign:
         return len(self.latent_categories)
 
     def __post_init__(self):
+        # tuples throughout, so a design built from lists hashes like any other
+        for name in ("latent_categories", "s_vars", "t_vars", "w_vars", "z_vars", "w_value"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("s_select", "t_select"):
+            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
         k = self.k
         if k < 2:
             raise DesignError("latent variable needs at least two categories")
@@ -174,15 +181,15 @@ class ProxyDesign:
             select = payload["select"]
             return cls(
                 latent_name=latent["name"],
-                latent_categories=tuple(latent["categories"]),
+                latent_categories=latent["categories"],
                 order_known=bool(latent.get("order_known", True)),
-                s_vars=tuple(roles["S"]),
-                t_vars=tuple(roles["T"]),
-                w_vars=tuple(roles["W"]),
-                z_vars=tuple(roles.get("Z", ())),
-                s_select=tuple(tuple(v) for v in select["s"]),
-                t_select=tuple(tuple(v) for v in select["t"]),
-                w_value=tuple(select["w"]),
+                s_vars=roles["S"],
+                t_vars=roles["T"],
+                w_vars=roles["W"],
+                z_vars=roles.get("Z", ()),
+                s_select=select["s"],
+                t_select=select["t"],
+                w_value=select["w"],
             )
         except (KeyError, TypeError) as exc:
             raise DesignError(f"malformed design payload: {exc}") from exc
@@ -623,12 +630,17 @@ class ReconstructedJoint:
     (already reordered to match); replay records, per stratum, the worst
     gap between observed cross moments and the ones the factorization
     implies, plus how far the anchor conditionals are from summing to 1.
+    identify_joint shares it among its callers, so replay and factor rows are read-only.
     """
 
     table: JointTable
     design: ProxyDesign
     factors: tuple
-    replay: dict
+    replay: types.MappingProxyType
+
+
+# input table -> {(design, tol): its ReconstructedJoint}, alive as long as the table
+_JOINTS = weakref.WeakKeyDictionary()
 
 
 def identify_joint(
@@ -640,8 +652,14 @@ def identify_joint(
 
     Requires design.order_known: the recovered latent prior must be
     strictly increasing (margin tol.order) in every stratum, which pins
-    the category labels.  Raises OrderAmbiguityError otherwise.
+    the category labels.  Raises OrderAmbiguityError otherwise.  Tables
+    are immutable, so a table object is recovered once per (design, tol)
+    and later calls share that read-only ReconstructedJoint; a failure is
+    not kept and raises again.
     """
+    recon = _JOINTS.get(table, {}).get((design, tol))
+    if recon is not None:
+        return recon
     check_design(table, design)
     if not design.order_known:
         raise OrderAmbiguityError(
@@ -664,9 +682,10 @@ def identify_joint(
     p_gap = np.abs(_scaled_columns(factors.s_rows, factors.prior) @ factors.t_rows - p).max()
     deltas, off, q_gap = _anchor_profiles(floats, factors, w_values, tol, fail)
     fail.raise_first()
-    replay = {"cross_moment": float(max(0.0, p_gap, q_gap)),
-              "anchor_diag": float(max(0.0, off.max())),
-              "anchor_total": float(max(0.0, np.abs(deltas.sum(axis=1) - 1.0).max()))}
+    replay = types.MappingProxyType({
+        "cross_moment": float(max(0.0, p_gap, q_gap)),
+        "anchor_diag": float(max(0.0, off.max())),
+        "anchor_total": float(max(0.0, np.abs(deltas.sum(axis=1) - 1.0).max()))})
 
     schema = [(design.latent_name, design.latent_categories)]
     schema += [(v, table.categories(v)) for v in design.w_vars + design.z_vars]
@@ -681,8 +700,11 @@ def identify_joint(
             "inconsistent with a probability table"
         )
     probs /= total
+    factors.t_rows.flags.writeable = factors.s_rows.flags.writeable = False
     factors = tuple(factors.slot(j, tuple(sorted(s.items()))) for j, s in enumerate(strata))
-    return ReconstructedJoint(make_table(schema, probs, "float"), design, factors, replay)
+    recon = ReconstructedJoint(make_table(schema, probs, "float"), design, factors, replay)
+    _JOINTS.setdefault(table, {})[design, tol] = recon  # successes only
+    return recon
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +798,8 @@ def identify_causal_effect(
     Exactly one of the exposure and the outcome must be the latent
     variable; the other, and any adjustment variables, must be recovered
     alongside it (anchor or strata).  A malformed query raises
-    PatternError before any recovery runs.
+    PatternError before any recovery runs.  The recovery is identify_joint's,
+    so every exposure value of one table reuses one reconstruction.
     """
     _check_effect_query(design, x, y)
     return effect_from_joint(identify_joint(table, design, tol), graph, x, y)

@@ -125,7 +125,7 @@ class JointTable:
         total = num.sum()
         if rational and total != den:
             raise FormatError(f"probabilities sum to {Fraction(total, den)}, not 1")
-        if not rational and abs(float(total) - 1.0) > float(MASS_TOL):
+        if not rational and not abs(float(total) - 1.0) <= float(MASS_TOL):  # NaN, inf too
             raise FormatError(f"probabilities sum to {float(total)!r}, not 1")
         num.flags.writeable = False
         object.__setattr__(self, "num", num)
@@ -261,6 +261,7 @@ def make_table(schema, probs, mode="rational"):
     """Build a validated JointTable from nested lists or an ndarray."""
     if not schema:
         raise FormatError("schema declares no variables")
+    _check_mode(mode)
     shape = tuple(len(cats) for _, cats in schema)
     arr = np.asarray(probs, dtype=object if mode == "rational" else np.float64)
     if arr.size != math.prod(shape):

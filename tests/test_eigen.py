@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from dataclasses import replace
@@ -24,6 +25,7 @@ from causalprox import (
     generate_latent_model,
     identify_causal_effect,
     identify_joint,
+    load_counts,
     make_table,
     order_free_bounds,
     random_latent_spec,
@@ -31,9 +33,11 @@ from causalprox import (
     solve_pencil,
     spec_design,
 )
+from causalprox import eigenid
 from causalprox.fixtures import (
     chain_diagram,
     education_design,
+    education_table_csv,
     education_model,
     education_table,
     uninformative_anchor_table,
@@ -329,3 +333,83 @@ def test_latent_category_cap():
             t_select=tuple((f"t{i}",) for i in range(1, 17)),
             w_value=("x1",), order_known=True,
         )
+
+
+def test_design_built_from_lists_equals_the_tuple_design():
+    listed = ProxyDesign(
+        latent_name="Y", latent_categories=["y1", "y2"],
+        s_vars=["S"], t_vars=["T"], w_vars=["X"], z_vars=[],
+        s_select=[["s1"]], t_select=[["t1"]], w_value=["x1"],
+    )
+    assert listed == education_design()
+    assert hash(listed) == hash(education_design())
+    recon = identify_joint(education_table(), listed)
+    assert recon.table.prob({"Y": "y1", "X": "x1"}) == pytest.approx(0.24, abs=1e-12)
+
+
+@pytest.fixture
+def recoveries(monkeypatch):
+    """The number of stacked recoveries identify_joint runs from here on."""
+    calls = []
+    real = eigenid._recover_strata
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(eigenid, "_recover_strata", counting)
+    return calls
+
+
+def test_effects_of_one_table_share_one_reconstruction(recoveries):
+    table, graph, design = education_table(), chain_diagram(), education_design()
+    recon = identify_joint(table, design)
+    for category in table.categories("X"):
+        effect = identify_causal_effect(table, graph, design, {"X": category}, "Y")
+        assert effect.reconstruction is recon
+    assert identify_joint(table, design, Tolerances()) is recon
+    assert len(recoveries) == 1
+
+
+def test_reconstruction_is_kept_per_table_object_and_tolerances(recoveries):
+    table, design = education_table(), education_design()
+    recon = identify_joint(table, design)
+    assert identify_joint(table, design, Tolerances(gap=1e-7)) is not recon
+    again = identify_joint(load_counts(education_table_csv()), design)
+    assert again is not recon
+    assert again.table.num.tobytes() == recon.table.num.tobytes()
+    assert len(recoveries) == 3
+
+
+def test_failed_recovery_is_not_kept(recoveries):
+    table = uninformative_anchor_table()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(DegenerateSpectrumError) as err:
+            identify_joint(table, education_design())
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert len(recoveries) == 2
+    assert table not in eigenid._JOINTS
+
+
+def test_kept_reconstruction_goes_with_its_table():
+    gc.collect()
+    before = len(eigenid._JOINTS)
+    table = education_table()
+    identify_joint(table, education_design())
+    assert len(eigenid._JOINTS) == before + 1
+    del table
+    gc.collect()
+    assert len(eigenid._JOINTS) == before
+
+
+def test_shared_reconstruction_is_read_only():
+    recon = identify_joint(education_table(), education_design())
+    factors = recon.factors[0]
+    for rows in (factors.t_rows, factors.s_rows):
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.5
+    with pytest.raises(TypeError):
+        recon.replay["cross_moment"] = 1.0
+    assert recon.replay == dict(recon.replay)

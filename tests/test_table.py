@@ -177,6 +177,8 @@ _AB = (("A", ("a0", "a1")),)
     (lambda: make_table([], [1]), FormatError, "schema declares no variables"),
     (lambda: make_table(_AB, [F(1, 3)] * 3), SchemaMismatchError,
      "probability array does not match schema shape"),
+    (lambda: make_table(_AB, ["1/2", "1/2"], "bogus"), FormatError,
+     "unknown table mode 'bogus'"),
     (lambda: JointTable.from_json({"schema": [["A", ["a0", "a1"]]], "probs": ["1/2"] * 2}),
      FormatError, "bad table payload: 'mode'"),
     (lambda: JointTable.from_json(
@@ -220,6 +222,22 @@ def test_from_json_raises_only_format_errors(mode, probs, message):
     with pytest.raises(FormatError) as err:
         JointTable.from_json(payload)
     assert type(err.value) is FormatError and str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("probs, message", [
+    ([float("nan"), 1.0], "probabilities sum to nan, not 1"),
+    ([float("inf"), 1.0], "probabilities sum to inf, not 1"),
+    (["nan", "0.5"], "probabilities sum to nan, not 1"),
+    (["inf", "0.5"], "probabilities sum to inf, not 1"),
+])
+def test_float_tables_reject_non_finite_cells(probs, message):
+    with pytest.raises(FormatError) as err:
+        if isinstance(probs[0], str):
+            JointTable.from_json({"schema": [["A", ["a0", "a1"]]], "mode": "float",
+                                  "probs": probs})
+        else:
+            JointTable(_AB, probs, "float")
+    assert type(err.value) is FormatError and str(err.value) == message
 
 
 def _two_strata_table():
