@@ -97,10 +97,19 @@ class ProxyDesign:
 
     def __post_init__(self):
         # tuples throughout, so a design built from lists hashes like any other
-        for name in ("latent_categories", "s_vars", "t_vars", "w_vars", "z_vars", "w_value"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        for name in ("s_select", "t_select"):
-            object.__setattr__(self, name, tuple(map(tuple, getattr(self, name))))
+        for name in ("latent_categories", "s_vars", "t_vars", "w_vars", "z_vars", "w_value",
+                     "s_select", "t_select"):
+            value = getattr(self, name)
+            nested = name.endswith("_select")
+            try:
+                value = tuple(map(tuple, value)) if nested else tuple(value)
+                hash(value)
+            except TypeError as exc:
+                what = "a list of value lists" if nested else "a list"
+                raise DesignError(
+                    f"{name} must be {what} of hashable values, got {getattr(self, name)!r}"
+                ) from exc
+            object.__setattr__(self, name, value)
         k = self.k
         if k < 2:
             raise DesignError("latent variable needs at least two categories")
@@ -193,6 +202,10 @@ class ProxyDesign:
             )
         except (KeyError, TypeError) as exc:
             raise DesignError(f"malformed design payload: {exc}") from exc
+        except DesignError as exc:
+            if isinstance(exc.__cause__, TypeError):  # a field of the wrong type
+                raise DesignError(f"malformed design payload: {exc}") from exc
+            raise
 
 
 def check_design(table: JointTable, design: ProxyDesign) -> None:
@@ -398,8 +411,10 @@ class PencilEigensystem:
 
 
 def _solve_pencils(p, q, tol, fail) -> PencilEigensystem:
-    """solve_pencil's checks, in its order, over (m, k, k) stacks.  P and Q
-    share one SVD call and the right and left pencils one solve."""
+    """solve_pencil's checks, in its order, over (m, k, k) stacks, in one SVD
+    call (P and Q), one solve and one eig call (the right and left pencils).
+    LAPACK decomposes each matrix of a stack alone, so every slot gets the
+    bits a call of its own would give."""
     m = len(p)
     pq = np.concatenate([p, q])
     sigma = np.linalg.svd(pq, compute_uv=False)
@@ -412,24 +427,27 @@ def _solve_pencils(p, q, tol, fail) -> PencilEigensystem:
     p, q = pq[:m], pq[m:]
     pencils = np.linalg.solve(np.concatenate([p, p.swapaxes(1, 2)]),
                               np.concatenate([q, q.swapaxes(1, 2)]))
-    slots, cols = np.arange(m)[:, None], np.arange(p.shape[-1])[:, None]
+    # right pencils in slots :m, left ones in m:, each spectrum ascending
+    eig_values, eig_vectors = np.linalg.eig(pencils)
+    imag = np.abs(eig_values.imag)
+    order = np.argsort(eig_values.real, axis=1, kind="stable")
+    slots, cols = np.arange(2 * m)[:, None], np.arange(p.shape[-1])[:, None]
+    all_values = eig_values.real[slots, order]
+    all_vectors = eig_vectors.real[slots[:, None], cols, order[:, None]]
+    values, left_values = all_values[:m], all_values[m:]
+    right, left = all_vectors[:m], all_vectors[m:]
 
-    def real_spectrum(matrices):
-        """Eigen-decompose the matrices; returns ascending (values, vectors)."""
-        values, vectors = np.linalg.eig(matrices)
-        imag = np.abs(values.imag)
-        fail.record(imag > tol.gap, lambda j: ComplexEigenvalueError(
-            f"pencil spectrum is not real (max |imag| = {imag[j].max():.3e})"))
-        order = np.argsort(values.real, axis=1, kind="stable")
-        return values.real[slots, order], vectors.real[slots[:, None], cols, order[:, None]]
+    def record_complex(b):
+        fail.record(imag[b:b + m] > tol.gap, lambda j: ComplexEigenvalueError(
+            f"pencil spectrum is not real (max |imag| = {imag[b + j].max():.3e})"))
 
-    values, right = real_spectrum(pencils[:m])
+    record_complex(0)
     fail.record(values[:, 0] <= tol.gap, lambda j: NonPositiveEigenvalueError(
         f"pencil eigenvalue {values[j, 0]:.3e} is not strictly positive"))
     gaps = values[:, 1:] - values[:, :-1]
     fail.record(gaps <= tol.gap, lambda j: DegenerateSpectrumError(
         f"pencil eigenvalues are not separated (min gap = {gaps[j].min():.3e})"))
-    left_values, left = real_spectrum(pencils[m:])
+    record_complex(m)
     fail.record(np.abs(left_values - values) > tol.gap, lambda j: DegenerateSpectrumError(
         "left and right pencil spectra disagree beyond tolerance"))
     # q - lambda_i p per slot and eigenvalue; its transposed view is the left

@@ -149,7 +149,8 @@ def generate_latent_model(spec: LatentModelSpec):
     )
     den = math.prod(dens)
     # over the gcd-reduced denominator every numerator equals the one the
-    # LCM of the cells' reduced denominators gives
+    # LCM of the cells' reduced denominators gives, since lcm_i(D/gcd(D, N_i))
+    # = D/gcd(D, N_1, ..., N_n); load_counts reads a prob column by the same rule
     g = math.gcd(den, *num.flat)
     num = np.moveaxis(num // g, 0, -1) if spec.z_name else (num // g)[0]
     truth = JointTable(schema, num, "rational", den // g)

@@ -17,7 +17,9 @@ The public constructor validates the schema, then copies and checks
 what it is given.  load_counts, which builds its array from the CSV
 cells and checks it as it goes (shape from the schema, every cell >= 0,
 den the sum), hands that array over uncopied through JointTable._checked,
-so each input is checked once.
+so each input is checked once.  It puts a prob column over one common
+denominator with one gcd per column, not one per cell, and gets the
+integers per-cell reduction would give (see load_counts).
 marginal and condition do the same with the sums and blocks they take
 from a rational table, which are checked already; float tables go
 through the public constructor.
@@ -179,19 +181,28 @@ class JointTable:
         except ValueError:
             raise UnknownVariableError(f"{value!r} is not a category of {var!r}") from None
 
-    def _block(self, assignment):
-        """Numerators of the cells matching a partial assignment, as an array."""
+    def _index(self, assignment):
+        """Index tuple of the cells matching a partial assignment: a category
+        index on each assigned axis, slice(None) on the others."""
         idx = [slice(None)] * len(self.schema)
         for var, value in assignment.items():
             idx[self._axis(var)] = self._index_of(var, value)
-        return self.num[tuple(idx) + (Ellipsis,)]
+        return tuple(idx)
+
+    def _block(self, assignment):
+        """Numerators of the cells matching a partial assignment, as an array."""
+        return self.num[self._index(assignment) + (Ellipsis,)]
+
+    def _mass_at(self, idx):
+        """Probability of the cells an index tuple (see _index) picks."""
+        n = self.num[idx + (Ellipsis,)].sum()
+        return Fraction(n, self.den) if self.mode == "rational" else n
 
     # -- queries -----------------------------------------------------------
 
     def mass(self, assignment):
         """Probability of a partial assignment (dict var -> category)."""
-        n = self._block(assignment).sum()
-        return Fraction(n, self.den) if self.mode == "rational" else n
+        return self._mass_at(self._index(assignment))
 
     def prob(self, assignment):
         if set(assignment) != set(self.variables):
@@ -279,10 +290,14 @@ def load_counts(source, schema=None):
     ``source`` is CSV text or a path-like (read as UTF-8); one leading
     byte-order mark is dropped.  The header names the variables
     followed by a final ``count`` (ASCII digits) or ``prob`` column; a prob
-    cell ``digits[.digits]`` is read as integers, any other (p/q, sign,
-    exponent) by parse_rational, and the column must sum to 1 within 1e-6.
-    Missing cells are zero; duplicate cells are rejected.  With no explicit
-    schema the category order is first appearance per column.
+    cell ``digits[.digits]`` is read as the integers (digits, 10**places),
+    any other (p/q, sign, exponent) by parse_rational, and the column must
+    sum to 1 within 1e-6.  A prob column goes over the LCM D of its cells'
+    denominators divided by G, the gcd of D and every numerator over D:
+    one gcd per column, the same integers as reducing every cell first.
+    The table's den is the numerators' sum.  Missing cells are zero;
+    duplicate cells are rejected.  With no explicit schema the category
+    order is first appearance per column.
     """
     if isinstance(source, os.PathLike):
         with open(source, "r", encoding="utf-8-sig") as fh:
@@ -320,9 +335,7 @@ def load_counts(source, schema=None):
             whole, _, places = raw.partition(".")
             digits = whole + places
             if len(digits) <= SAFE_DIGITS and digits.isascii() and digits.isdigit():
-                n, d = int(digits), 10 ** len(places)
-                g = math.gcd(n, d)
-                value = (n // g, d // g)
+                value = (int(digits), 10 ** len(places))
             else:
                 value = parse_rational(raw).as_integer_ratio()
                 if value[0] < 0:
@@ -349,15 +362,30 @@ def load_counts(source, schema=None):
         schema = tuple((v, tuple(seen)) for v, seen in zip(varnames, seen_cats))
         _validate_schema(schema)
 
-    # counts are the numerators; probabilities go over their LCM
-    if not counts:
-        scale = math.lcm(*(d for _, d in cells.values()))
-        cells = {key: n * (scale // d) for key, (n, d) in cells.items()}
-    num = np.zeros(tuple(len(cats) for _, cats in schema), dtype=object)
-    lookup = [{c: i for i, c in enumerate(cats)} for _, cats in schema]
-    for key, n in cells.items():
-        num[tuple(map(dict.__getitem__, lookup, key))] = n
-    total = sum(cells.values())  # each key holds one cell of num
+    # counts are the numerators.  Probabilities n_i/d_i go over D, the LCM
+    # of the distinct d_i, as N_i = n_i*D/d_i, then over D/G with G =
+    # gcd(D, N_1, ..., N_n): since lcm_i(D/gcd(D, N_i)) = D/G, these are the
+    # integers that reducing each cell, then taking the LCM, gives.
+    if counts:
+        values = list(cells.values())
+    else:
+        scale = math.lcm(*{d for _, d in cells.values()})
+        values = [n * (scale // d) for n, d in cells.values()]
+        g = math.gcd(scale, *values)
+        if g > 1:
+            scale //= g
+            values = [n // g for n in values]
+    shape = tuple(len(cats) for _, cats in schema)
+    if len(cells) == math.prod(shape) and list(cells) == list(
+            itertools.product(*(cats for _, cats in schema))):
+        # every cell in row-major order, as the package writes tables
+        num = np.array(values, dtype=object).reshape(shape)
+    else:
+        num = np.zeros(shape, dtype=object)
+        lookup = [{c: i for i, c in enumerate(cats)} for _, cats in schema]
+        for key, n in zip(cells, values):
+            num[tuple(map(dict.__getitem__, lookup, key))] = n
+    total = sum(values)  # each key holds one cell of num
     if total == 0:
         raise EmptyDataError("all cells are zero")
     if not counts and abs(total - scale) * 10**6 > scale:
@@ -387,56 +415,75 @@ def _y_table(table, y, masses):
 
 
 def _adjustment(table, x, y, zvars, what):
-    """(xvar, xval, zero mass per y category, every assignment of zvars) of
-    an adjustment formula, once its arguments are checked."""
+    """(x axis, x index, y axis, zero mass per y category, strata) of an
+    adjustment formula, once its arguments are checked.  strata holds, for
+    each assignment of zvars, its index tuple (see JointTable._index) and
+    its (zvar, category) pairs."""
     xvar, xval = _check_pair(table, x, y)
     zvars = list(zvars)
-    for v in zvars:
-        table._axis(v)
+    zaxes = [table._axis(v) for v in zvars]
     if xvar in zvars or y in zvars:
         raise UnknownVariableError(f"{what} set overlaps the effect pair")
+    strata = []
+    for combo in itertools.product(*(enumerate(table.categories(v)) for v in zvars)):
+        idx = [slice(None)] * len(table.schema)
+        for axis, (i, _) in zip(zaxes, combo):
+            idx[axis] = i
+        strata.append((tuple(idx), tuple((v, c) for v, (_, c) in zip(zvars, combo))))
     zero = Fraction(0) if table.mode == "rational" else 0.0
-    domains = [table.categories(v) for v in zvars]
-    zassigns = [dict(zip(zvars, combo)) for combo in itertools.product(*domains)]
-    return xvar, xval, dict.fromkeys(table.categories(y), zero), zassigns
+    masses = dict.fromkeys(table.categories(y), zero)
+    return table._axis(xvar), table._index_of(xvar, xval), table._axis(y), masses, strata
+
+
+def _at(idx, axis, i):
+    """idx with category index i on axis."""
+    return idx[:axis] + (i,) + idx[axis + 1:]
 
 
 def backdoor_adjust(table, x, y, zvars):
     """Adjustment formula: sum_z f(y|x,z) f(z)."""
-    xvar, xval, masses, zassigns = _adjustment(table, x, y, zvars, "adjustment")
-    for zassign in zassigns:
-        pz = table.mass(zassign)
+    xaxis, xi, yaxis, masses, strata = _adjustment(table, x, y, zvars, "adjustment")
+    mass = table._mass_at
+    for zidx, zpairs in strata:
+        pz = mass(zidx)
         if pz == 0:
             continue
-        pxz = table.mass({xvar: xval, **zassign})
+        xzidx = _at(zidx, xaxis, xi)
+        pxz = mass(xzidx)
         if pxz == 0:
+            (xvar, xval), = x.items()
             raise PositivityError(
-                f"f({xvar}={xval}, {zassign}) = 0 on a stratum with positive probability"
+                f"f({xvar}={xval}, {dict(zpairs)}) = 0 on a stratum with positive probability"
             )
-        for c in table.categories(y):
-            masses[c] += table.mass({y: c, xvar: xval, **zassign}) / pxz * pz
+        for yi, c in enumerate(masses):
+            masses[c] += mass(_at(xzidx, yaxis, yi)) / pxz * pz
     return _y_table(table, y, masses)
 
 
 def frontdoor_adjust(table, x, y, zvars):
     """Mediator formula: sum_z f(z|x) sum_x' f(y|x',z) f(x')."""
-    xvar, xval, masses, zassigns = _adjustment(table, x, y, zvars, "mediator")
-    px = table.mass({xvar: xval})
+    xaxis, xi, yaxis, masses, strata = _adjustment(table, x, y, zvars, "mediator")
+    mass = table._mass_at
+    (xvar, xval), = x.items()
+    px = table.mass(x)
     if px == 0:
         raise ZeroMassError(f"f({xvar}={xval}) = 0")
-    for zassign in zassigns:
-        pzx = table.mass({xvar: xval, **zassign}) / px
+    # f(x') for every x', the same in every stratum
+    xprimes = [(j, xprime, table.mass({xvar: xprime}))
+               for j, xprime in enumerate(table.categories(xvar))]
+    for zidx, zpairs in strata:
+        pzx = mass(_at(zidx, xaxis, xi)) / px
         if pzx == 0:
             continue
-        for xprime in table.categories(xvar):
-            pxp = table.mass({xvar: xprime})
+        for j, xprime, pxp in xprimes:
             if pxp == 0:
                 continue
-            pxpz = table.mass({xvar: xprime, **zassign})
+            xpzidx = _at(zidx, xaxis, j)
+            pxpz = mass(xpzidx)
             if pxpz == 0:
                 raise PositivityError(
-                    f"f({xvar}={xprime}, {zassign}) = 0 but the formula needs f(y|...) there"
+                    f"f({xvar}={xprime}, {dict(zpairs)}) = 0 but the formula needs f(y|...) there"
                 )
-            for c in table.categories(y):
-                masses[c] += pzx * pxp * table.mass({y: c, xvar: xprime, **zassign}) / pxpz
+            for yi, c in enumerate(masses):
+                masses[c] += pzx * pxp * mass(_at(xpzidx, yaxis, yi)) / pxpz
     return _y_table(table, y, masses)

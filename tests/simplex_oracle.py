@@ -3,8 +3,10 @@
 LinearProgram, make_program and LPResult are the plain types of a
 program min or max c.x subject to A x = b, x >= 0 and of its answer.
 oracle_solve() is a dense two-phase simplex over Fraction tableaux under
-Bland's rule, whose reduced costs are rebuilt from scratch on every
-iteration: slow but plainly correct, exact and deterministic.  The
+Bland's rule: slow but plainly correct, exact and deterministic.  Each
+phase builds its reduced-cost row from the basis once and then pivots it
+with the tableau, which gives the same exact values as rebuilding it, so
+Bland's rule picks the same pivots.  The
 package answers its bounds programs in closed form and solves no LP;
 the tests hold those answers to oracle_solve, and oracle_solve itself to
 vertex enumeration (tests/vertex_oracle.py).  program_lp() turns a
@@ -87,21 +89,23 @@ class _Tableau:
         self.rhs = rhs
         self.basis = basis  # basis[r] = column index basic in row r
 
-    def pivot(self, r, c):
-        zero = _Q(0)
+    def pivot(self, r, c, red=None):
+        """Pivot on entry (r, c); red, a reduced-cost row, is pivoted along.
+        Zero entries of the pivot row leave the other rows' entries as
+        they are."""
         piv = self.rows[r][c]
         inv = 1 / piv
-        self.rows[r] = [a * inv for a in self.rows[r]]
+        prow = self.rows[r] = [a * inv if a else a for a in self.rows[r]]
         self.rhs[r] = self.rhs[r] * inv
-        for i in range(len(self.rows)):
-            if i == r:
+        for i, row in enumerate(self.rows):
+            factor = row[c]
+            if i == r or not factor:
                 continue
-            factor = self.rows[i][c]
-            if factor == zero:
-                continue
-            prow = self.rows[r]
-            self.rows[i] = [a - factor * b for a, b in zip(self.rows[i], prow)]
+            self.rows[i] = [a - factor * b if b else a for a, b in zip(row, prow)]
             self.rhs[i] = self.rhs[i] - factor * self.rhs[r]
+        if red is not None and red[c]:
+            factor = red[c]
+            red[:] = [a - factor * b if b else a for a, b in zip(red, prow)]
         self.basis[r] = c
 
     def reduced_costs(self, cost):
@@ -120,8 +124,8 @@ class _Tableau:
     def optimize(self, cost):
         """Bland-rule minimization; returns 'optimal' or 'unbounded'."""
         zero = _Q(0)
+        red = self.reduced_costs(cost)
         while True:
-            red = self.reduced_costs(cost)
             entering = next((j for j, z in enumerate(red) if z < zero), None)
             if entering is None:
                 return "optimal"
@@ -140,7 +144,7 @@ class _Tableau:
                         best_r = r
             if best_r is None:
                 return "unbounded"
-            self.pivot(best_r, entering)
+            self.pivot(best_r, entering, red)
 
     def objective_value(self, cost):
         return sum(

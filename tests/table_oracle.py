@@ -6,7 +6,11 @@ code here does the same jobs the plain way, one Fraction per cell, one
 mass() call per matrix entry, one parse_rational() per CSV prob cell and
 one Fraction product per decimal string, so agreement with ``==`` is
 evidence that the integer form loses nothing.  intervene_truncated is
-the oracle for the back-door and front-door adjustment formulas.
+the oracle for the back-door and front-door adjustment formulas, and
+backdoor_adjust_per_mass and frontdoor_adjust_per_mass evaluate those
+formulas with one table.mass() call per term, so that the package's
+versions, which resolve every index once per call, must equal them bit
+for bit.
 """
 
 import itertools
@@ -17,7 +21,9 @@ import numpy as np
 
 from causalprox.errors import (
     FormatError,
+    PositivityError,
     SchemaMismatchError,
+    UnknownVariableError,
     ZeroConditionalError,
     ZeroMassError,
 )
@@ -175,4 +181,61 @@ def intervene_truncated(table, g, x, y):
             if weight == 0:
                 break
         masses[cell[y]] += weight
+    return _y_table(table, y, masses)
+
+
+def _adjustment_per_mass(table, x, y, zvars, what):
+    """(xvar, xval, zero mass per y category, every assignment of zvars) of
+    an adjustment formula, once its arguments are checked."""
+    xvar, xval = _check_pair(table, x, y)
+    zvars = list(zvars)
+    for v in zvars:
+        table._axis(v)
+    if xvar in zvars or y in zvars:
+        raise UnknownVariableError(f"{what} set overlaps the effect pair")
+    zero = Fraction(0) if table.mode == "rational" else 0.0
+    domains = [table.categories(v) for v in zvars]
+    zassigns = [dict(zip(zvars, combo)) for combo in itertools.product(*domains)]
+    return xvar, xval, dict.fromkeys(table.categories(y), zero), zassigns
+
+
+def backdoor_adjust_per_mass(table, x, y, zvars):
+    """Adjustment formula: sum_z f(y|x,z) f(z), one mass() call per term."""
+    xvar, xval, masses, zassigns = _adjustment_per_mass(table, x, y, zvars, "adjustment")
+    for zassign in zassigns:
+        pz = table.mass(zassign)
+        if pz == 0:
+            continue
+        pxz = table.mass({xvar: xval, **zassign})
+        if pxz == 0:
+            raise PositivityError(
+                f"f({xvar}={xval}, {zassign}) = 0 on a stratum with positive probability"
+            )
+        for c in table.categories(y):
+            masses[c] += table.mass({y: c, xvar: xval, **zassign}) / pxz * pz
+    return _y_table(table, y, masses)
+
+
+def frontdoor_adjust_per_mass(table, x, y, zvars):
+    """Mediator formula: sum_z f(z|x) sum_x' f(y|x',z) f(x'), one mass()
+    call per term."""
+    xvar, xval, masses, zassigns = _adjustment_per_mass(table, x, y, zvars, "mediator")
+    px = table.mass({xvar: xval})
+    if px == 0:
+        raise ZeroMassError(f"f({xvar}={xval}) = 0")
+    for zassign in zassigns:
+        pzx = table.mass({xvar: xval, **zassign}) / px
+        if pzx == 0:
+            continue
+        for xprime in table.categories(xvar):
+            pxp = table.mass({xvar: xprime})
+            if pxp == 0:
+                continue
+            pxpz = table.mass({xvar: xprime, **zassign})
+            if pxpz == 0:
+                raise PositivityError(
+                    f"f({xvar}={xprime}, {zassign}) = 0 but the formula needs f(y|...) there"
+                )
+            for c in table.categories(y):
+                masses[c] += pzx * pxp * table.mass({y: c, xvar: xprime, **zassign}) / pxpz
     return _y_table(table, y, masses)

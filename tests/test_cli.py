@@ -343,7 +343,7 @@ def test_identify_recovers_each_stratum_once(workdir, monkeypatch):
         assert list(shared.distribution.probs) == list(alone.distribution.probs)
 
 
-def test_identify_joint_runs_eig_twice_whatever_the_strata(monkeypatch):
+def test_identify_joint_runs_eig_once_whatever_the_strata(monkeypatch):
     calls = []
     linalg = eigenid.np.linalg
     real_eig = linalg.eig
@@ -358,8 +358,8 @@ def test_identify_joint_runs_eig_twice_whatever_the_strata(monkeypatch):
         _, observable = generate_latent_model(spec)
         calls.clear()
         eigenid.identify_joint(observable, spec_design(spec))
-        # right then left spectrum, each over every stratum at once
-        assert calls == [spec.n_strata, spec.n_strata]
+        # one call over every stratum's right pencil, then every left one
+        assert calls == [2 * spec.n_strata]
 
 
 def test_identify_searches_adjustment_set_once(workdir, monkeypatch):

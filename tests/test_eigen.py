@@ -223,6 +223,28 @@ def test_design_validation():
     assert back == base
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("s_select", [5], "s_select must be a list of value lists of hashable values, got [5]"),
+    ("latent_categories", 5, "latent_categories must be a list of hashable values, got 5"),
+    ("w_value", 3, "w_value must be a list of hashable values, got 3"),
+    ("latent_categories", [["a"], ["b"]],
+     "latent_categories must be a list of hashable values, got [['a'], ['b']]"),
+])
+def test_design_fields_of_the_wrong_type_raise_design_error(field, value, message):
+    base = education_design()
+    with pytest.raises(DesignError) as err:
+        replace(base, **{field: value})
+    assert type(err.value) is DesignError and str(err.value) == message
+    payload = base.to_json()
+    section, key = {"s_select": ("select", "s"), "w_value": ("select", "w"),
+                    "latent_categories": ("latent", "categories")}[field]
+    payload[section][key] = value
+    with pytest.raises(DesignError) as err:
+        ProxyDesign.from_json(payload)
+    assert type(err.value) is DesignError
+    assert str(err.value) == f"malformed design payload: {message}"
+
+
 def test_check_design_schema_mismatch():
     table = education_table()
     base = education_design()

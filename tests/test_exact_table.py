@@ -17,11 +17,15 @@ import numpy as np
 import pytest
 
 from causalprox import (
+    CausalProxError,
     FormatError,
     JointTable,
+    PositivityError,
     ProxyDesign,
     ZeroMassError,
+    backdoor_adjust,
     cross_moment_matrices,
+    frontdoor_adjust,
     generate_latent_model,
     load_counts,
     make_table,
@@ -33,8 +37,10 @@ from causalprox.eigenid import _moment_stack, stratum_assignments
 from causalprox.ratio import decimal_string, parse_rational
 from table_oracle import (
     FractionTable,
+    backdoor_adjust_per_mass,
     cross_moments_per_entry,
     decimal_string_by_division,
+    frontdoor_adjust_per_mass,
     prob_column_per_cell,
 )
 
@@ -188,6 +194,52 @@ def test_prob_column_matches_parse_rational_per_cell():
     # a sum off 1 by at most 10**-6 is normalized by the sum
     table = load_counts("A,prob\na0,0.4999999\na1,0.5\n")
     assert (table.num.tolist(), table.den) == ([4999999, 5000000], 9999999)
+
+
+def prob_cell_text(rng, value):
+    """A spelling of value that reads as it: a decimal padded to 0-12
+    extra places (so its reduced denominator sits far below 10**places),
+    p/q, p/q scaled up, or an exponent."""
+    style = rng.randrange(4)
+    try:
+        text = decimal_string(value)
+    except FormatError:  # no terminating decimal
+        style = 3
+    if style == 3:
+        m = rng.randint(1, 4)
+        return f"{value.numerator * m}/{value.denominator * m}"
+    if style == 0:
+        return text + ("" if "." in text else ".") + "0" * rng.randint(0, 12)
+    if style == 1:
+        whole, _, places = text.partition(".")
+        pad = rng.randint(0, 3)
+        return f"{whole}{places}{'0' * pad}e-{len(places) + pad}"
+    return f"{value.numerator}/{value.denominator}"
+
+
+def test_prob_column_over_one_gcd_matches_the_public_constructor():
+    """Prob columns mixing decimals of many lengths, p/q, exponents and zero
+    cells, in row-major order or not, give the integers of make_table."""
+    rng = random.Random(3030)
+    for _ in range(150):
+        schema = random_schema(rng, rng.randint(1, 3))
+        size = math.prod(len(cats) for _, cats in schema)
+        den = rng.choice((2, 8, 10, 16, 125, 10**rng.randint(1, 20), 3, 7 * 2**5, 2**67))
+        values = [Fraction(0) if rng.random() < 0.3 else Fraction(rng.randint(0, den), den)
+                  for _ in range(size - 1)]
+        if sum(values) > 1:
+            values = [v / (2 * sum(values)) for v in values]
+        values.append(1 - sum(values))
+        texts = [prob_cell_text(rng, v) for v in values]
+        header, *lines = prob_csv(schema, texts).splitlines()
+        if rng.random() < 0.5:  # rows out of row-major order, or missing zero cells
+            rng.shuffle(lines)
+            lines = [line for line in lines if not line.endswith(",0") or rng.random() < 0.5]
+        table = load_counts("\n".join([header] + lines) + "\n", schema=schema)
+        want = make_table(schema, [parse_rational(t) for t in texts])
+        assert (table.schema, table.den) == (want.schema, want.den)
+        assert table.num.tolist() == want.num.tolist()
+        assert all(type(n) is int for n in table.num.flat)
 
 
 @pytest.mark.parametrize(
@@ -374,3 +426,61 @@ def test_public_surfaces_the_benchmark_reads():
     rebuilt = JointTable(table.schema, floats, "float")
     assert rebuilt.mode == "float"
     assert (rebuilt.probs == floats).all()
+
+
+def random_adjust_case(rng, mode):
+    """(table, x, y, zvars): a random table over 3-6 variables, some never in
+    the formula, with 0-3 z variables and, often, a zero-mass stratum or
+    exposure category."""
+    schema = random_schema(rng, rng.randint(3, 6))
+    names = [name for name, _ in schema]
+    x, y, *rest = rng.sample(names, len(names))
+    zvars = rest[:rng.randint(0, min(3, len(rest)))]
+    probs = np.array(random_probs(rng, math.prod(len(c) for _, c in schema)), dtype=object)
+    probs = probs.reshape([len(c) for _, c in schema])
+    if rng.random() < 0.6:
+        # empty one z-stratum, or one exposure category, moving its mass to
+        # the next category's first cell
+        axis = names.index(rng.choice([x] + zvars[:1]))
+        dead = [slice(None)] * len(schema)
+        dead[axis] = rng.randrange(probs.shape[axis])
+        lost = probs[tuple(dead)].sum()
+        probs[tuple(dead)] = Fraction(0)
+        live = [0] * len(schema)
+        live[axis] = (dead[axis] + 1) % probs.shape[axis]
+        probs[tuple(live)] += lost
+    table = make_table(schema, probs)
+    table = table if mode == "rational" else table.to_float()
+    return table, {x: rng.choice(table.categories(x))}, y, zvars
+
+
+def adjust_outcome(adjust, *args):
+    try:
+        result = adjust(*args)
+    except CausalProxError as exc:
+        return type(exc), str(exc)
+    return result.schema, result.mode, result.den, result.num.dtype, result.num.tobytes() \
+        if result.mode == "float" else result.num.tolist()
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_adjustments_equal_the_per_mass_formulas(mode):
+    """backdoor_adjust and frontdoor_adjust equal one mass() call per term:
+    the same exact Fractions, the same float bits, the same errors."""
+    rng = random.Random(777 if mode == "rational" else 778)
+    seen = set()
+    for _ in range(150):
+        table, x, y, zvars = case = random_adjust_case(rng, mode)
+        strata = itertools.product(*(table.categories(v) for v in zvars))
+        dead = any(table.mass(dict(zip(zvars, combo))) == 0 for combo in strata)
+        for adjust, oracle in ((backdoor_adjust, backdoor_adjust_per_mass),
+                               (frontdoor_adjust, frontdoor_adjust_per_mass)):
+            got = adjust_outcome(adjust, *case)
+            assert got == adjust_outcome(oracle, *case)
+            error = got[0] if isinstance(got[0], type) else None
+            seen.add((adjust.__name__, len(zvars), error, dead))
+    for name in ("backdoor_adjust", "frontdoor_adjust"):
+        assert {n for a, n, e, _ in seen if a == name and e is None} == {0, 1, 2, 3}
+        assert (name, 1, PositivityError, False) in seen
+        assert any(a == name and e is None and d for a, _, e, d in seen)
+    assert ("frontdoor_adjust", 0, ZeroMassError, False) in seen

@@ -190,6 +190,40 @@ def test_stacked_pencil_records_complex_and_negative_spectra():
     assert str(fail[1]) == "pencil eigenvalue -2.000e-01 is not strictly positive"
 
 
+def test_one_sided_complex_spectra_keep_each_slot_first_error(monkeypatch):
+    """One eig call decomposes every slot's right and left pencils.  Slots
+    whose right spectrum alone, or left spectrum alone, is made complex fail
+    the check the sequential oracle fails first: a complex right spectrum
+    before a negative eigenvalue, a negative eigenvalue before a complex
+    left spectrum."""
+    p, q = _good_pencil()
+    # (scale of q, the side whose spectrum gets an imaginary part)
+    cases = [(1.0, None), (0.9, "right"), (0.8, "left"), (-0.7, "left"), (-0.6, "right")]
+    targets = [np.linalg.solve(p, c * q) if side == "right" else np.linalg.solve(p.T, c * q.T)
+               for c, side in cases if side]
+    real_eig = np.linalg.eig
+
+    def eig(matrices):
+        """np.linalg.eig, plus 0.25j on the first eigenvalue of each target."""
+        values, vectors = real_eig(matrices)
+        values = values.astype(complex)
+        rows = values.reshape(-1, values.shape[-1])
+        for row, matrix in zip(rows, matrices.reshape(-1, *matrices.shape[-2:])):
+            if any(np.array_equal(matrix, target) for target in targets):
+                row[0] += 0.25j
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    fail = eigenid._Failures([None] * len(cases))
+    eigenid._solve_pencils(np.stack([p] * len(cases)), np.stack([c * q for c, _ in cases]),
+                           DEFAULT_TOLERANCES, fail)
+    want = [_outcome(eigen_oracle.solve_pencil, p, c * q)[1] for c, _ in cases]
+    assert [(type(e), str(e)) for e in fail] == [(type(e), str(e)) for e in want]
+    assert [e and e.code for e in fail] == [
+        None, "E_COMPLEX_EIGS", "E_COMPLEX_EIGS", "E_EIG_SIGN", "E_COMPLEX_EIGS"]
+    assert str(fail[2]) == "pencil spectrum is not real (max |imag| = 2.500e-01)"
+
+
 def test_stacked_factors_record_pivot_failures():
     # a diagonal pencil has the unit vectors as eigenvectors, so row 1 of
     # the inverted basis has no leading entry
