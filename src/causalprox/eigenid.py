@@ -428,14 +428,13 @@ def _solve_pencils(p, q, tol, fail) -> PencilEigensystem:
     pencils = np.linalg.solve(np.concatenate([p, p.swapaxes(1, 2)]),
                               np.concatenate([q, q.swapaxes(1, 2)]))
     # right pencils in slots :m, left ones in m:, each spectrum ascending
-    eig_values, eig_vectors = np.linalg.eig(pencils)
-    imag = np.abs(eig_values.imag)
-    order = np.argsort(eig_values.real, axis=1, kind="stable")
+    values, vectors = np.linalg.eig(pencils)
+    imag = np.abs(values.imag)
+    order = np.argsort(values.real, axis=1, kind="stable")
     slots, cols = np.arange(2 * m)[:, None], np.arange(p.shape[-1])[:, None]
-    all_values = eig_values.real[slots, order]
-    all_vectors = eig_vectors.real[slots[:, None], cols, order[:, None]]
-    values, left_values = all_values[:m], all_values[m:]
-    right, left = all_vectors[:m], all_vectors[m:]
+    values = values.real[slots, order]
+    vectors = vectors.real[slots[:, None], cols, order[:, None]]
+    values, left_values, right, left = values[:m], values[m:], vectors[:m], vectors[m:]
 
     def record_complex(b):
         fail.record(imag[b:b + m] > tol.gap, lambda j: ComplexEigenvalueError(

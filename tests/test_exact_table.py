@@ -459,8 +459,8 @@ def adjust_outcome(adjust, *args):
         result = adjust(*args)
     except CausalProxError as exc:
         return type(exc), str(exc)
-    return result.schema, result.mode, result.den, result.num.dtype, result.num.tobytes() \
-        if result.mode == "float" else result.num.tolist()
+    num = result.num.tobytes() if result.mode == "float" else result.num.tolist()
+    return result.schema, result.mode, result.den, result.num.dtype, num
 
 
 @pytest.mark.parametrize("mode", ["rational", "float"])
