@@ -70,6 +70,28 @@ class Tolerances:
 DEFAULT_TOLERANCES = Tolerances()
 
 
+_TUPLE_FIELDS = ("latent_categories", "s_vars", "t_vars", "w_vars", "z_vars", "w_value",
+                 "s_select", "t_select")
+
+
+def _tuple_fields(fields):
+    """The _TUPLE_FIELDS of a name -> value mapping as hashable tuples (the
+    *_select ones as tuples of tuples); DesignError naming the first field
+    that is not a list of hashable values."""
+    out = {}
+    for name in _TUPLE_FIELDS:
+        nested = name.endswith("_select")
+        try:
+            out[name] = tuple(map(tuple, fields[name])) if nested else tuple(fields[name])
+            hash(out[name])
+        except TypeError as exc:
+            what = "a list of value lists" if nested else "a list"
+            raise DesignError(
+                f"{name} must be {what} of hashable values, got {fields[name]!r}"
+            ) from exc
+    return out
+
+
 @dataclass(frozen=True)
 class ProxyDesign:
     """Role assignment and event selection for one identification run.
@@ -97,18 +119,8 @@ class ProxyDesign:
 
     def __post_init__(self):
         # tuples throughout, so a design built from lists hashes like any other
-        for name in ("latent_categories", "s_vars", "t_vars", "w_vars", "z_vars", "w_value",
-                     "s_select", "t_select"):
-            value = getattr(self, name)
-            nested = name.endswith("_select")
-            try:
-                value = tuple(map(tuple, value)) if nested else tuple(value)
-                hash(value)
-            except TypeError as exc:
-                what = "a list of value lists" if nested else "a list"
-                raise DesignError(
-                    f"{name} must be {what} of hashable values, got {getattr(self, name)!r}"
-                ) from exc
+        fields = _tuple_fields({name: getattr(self, name) for name in _TUPLE_FIELDS})
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
         k = self.k
         if k < 2:
@@ -188,7 +200,7 @@ class ProxyDesign:
             latent = payload["latent"]
             roles = payload["roles"]
             select = payload["select"]
-            return cls(
+            fields = dict(
                 latent_name=latent["name"],
                 latent_categories=latent["categories"],
                 order_known=bool(latent.get("order_known", True)),
@@ -200,12 +212,13 @@ class ProxyDesign:
                 t_select=select["t"],
                 w_value=select["w"],
             )
-        except (KeyError, TypeError) as exc:
+            fields.update(_tuple_fields(fields))
+        except (KeyError, TypeError, DesignError) as exc:  # DesignError: a field's type
             raise DesignError(f"malformed design payload: {exc}") from exc
-        except DesignError as exc:
-            if isinstance(exc.__cause__, TypeError):  # a field of the wrong type
-                raise DesignError(f"malformed design payload: {exc}") from exc
-            raise
+        try:
+            return cls(**fields)
+        except TypeError as exc:
+            raise DesignError(f"malformed design payload: {exc}") from exc
 
 
 def check_design(table: JointTable, design: ProxyDesign) -> None:

@@ -375,16 +375,10 @@ def load_counts(source, schema=None):
         if g > 1:
             scale //= g
             values = [n // g for n in values]
-    shape = tuple(len(cats) for _, cats in schema)
-    if len(cells) == math.prod(shape) and list(cells) == list(
-            itertools.product(*(cats for _, cats in schema))):
-        # every cell in row-major order, as the package writes tables
-        num = np.array(values, dtype=object).reshape(shape)
-    else:
-        num = np.zeros(shape, dtype=object)
-        lookup = [{c: i for i, c in enumerate(cats)} for _, cats in schema]
-        for key, n in zip(cells, values):
-            num[tuple(map(dict.__getitem__, lookup, key))] = n
+    num = np.zeros(tuple(len(cats) for _, cats in schema), dtype=object)
+    lookup = [{c: i for i, c in enumerate(cats)} for _, cats in schema]
+    for key, n in zip(cells, values):
+        num[tuple(map(dict.__getitem__, lookup, key))] = n
     total = sum(values)  # each key holds one cell of num
     if total == 0:
         raise EmptyDataError("all cells are zero")
