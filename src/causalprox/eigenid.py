@@ -215,10 +215,7 @@ class ProxyDesign:
             fields.update(_tuple_fields(fields))
         except (KeyError, TypeError, DesignError) as exc:  # DesignError: a field's type
             raise DesignError(f"malformed design payload: {exc}") from exc
-        try:
-            return cls(**fields)
-        except TypeError as exc:
-            raise DesignError(f"malformed design payload: {exc}") from exc
+        return cls(**fields)
 
 
 def check_design(table: JointTable, design: ProxyDesign) -> None:
